@@ -1,7 +1,8 @@
 // Block-max traversal ablation on TREC-shaped workloads: blocks on/off x
 // posting compression on/off at lambda=20 (the pruning bench's setting).
 // "Blocks off" is the previous pruned executor — every other pruning layer
-// (bound_skip, early_exit, adaptive_merge) stays on — so the reduction
+// (bound_skip, early_exit) stays on, and merges still gallop on skewed
+// lengths — so the reduction
 // columns isolate exactly what the per-block maxima add on top of PR 5's
 // exact top-lambda pruning:
 //
@@ -168,9 +169,9 @@ void Main(bool smoke) {
       "== Block-max traversal ablation (blocks on/off x compression, "
       "delta=0.1) ==\n"
       "blocks off = PR 5 pruned executor (bound_skip + early_exit +\n"
-      "adaptive_merge); blocks on adds per-block maxima: block-granular\n"
-      "decode, refined admission/trimming, summary galloping. Results\n"
-      "verified bit-identical in every cell.\n");
+      "length-picked galloping); blocks on adds per-block maxima:\n"
+      "block-granular decode, refined admission/trimming, summary\n"
+      "galloping. Results verified bit-identical in every cell.\n");
 
   if (smoke) {
     DocumentCollection a = Gen(&disk, "sa", 120, 22.0, 21);

@@ -2,7 +2,9 @@
 // use fixed 5-byte i-cells; delta+varint coding shrinks them — which in
 // the cost model's terms shrinks I (file pages) and J (entry pages), and
 // so the measured cost of the inverted-file algorithms. HHNL reads no
-// inverted files and is unaffected, shifting the crossover points.
+// inverted files and is unaffected, shifting the crossover points. The
+// size table also carries group-varint, the SIMD-decodable format, so the
+// size price of its faster decode is one command away.
 
 #include <cstdio>
 
@@ -18,16 +20,35 @@ namespace {
 
 constexpr int64_t kPage = 512;
 
-void Report(const char* label, const InvertedFile& plain,
-            const InvertedFile& packed) {
-  std::printf("%-10s plain: %6lld pages (%8lld bytes)   compressed: %6lld "
-              "pages (%8lld bytes)   ratio %.2f\n",
-              label, static_cast<long long>(plain.size_in_pages()),
-              static_cast<long long>(plain.size_in_bytes()),
-              static_cast<long long>(packed.size_in_pages()),
-              static_cast<long long>(packed.size_in_bytes()),
-              static_cast<double>(plain.size_in_bytes()) /
-                  static_cast<double>(packed.size_in_bytes()));
+InvertedFile BuildIndex(SimulatedDisk* disk, const std::string& name,
+                        const DocumentCollection& collection,
+                        PostingCompression compression) {
+  auto index = InvertedFile::Build(disk, name, collection,
+                                   InvertedFile::BuildOptions{compression});
+  TEXTJOIN_CHECK_OK(index.status());
+  return std::move(index).value();
+}
+
+// One size row: the collection's inverted file in all three posting
+// formats, bytes and plain/compressed ratios.
+void ReportSizes(SimulatedDisk* disk, const char* label,
+                 const DocumentCollection& collection) {
+  const std::string name = collection.name();
+  const int64_t plain =
+      BuildIndex(disk, name + ".inv", collection, PostingCompression::kNone)
+          .size_in_bytes();
+  const int64_t varint = BuildIndex(disk, name + ".vinv", collection,
+                                    PostingCompression::kDeltaVarint)
+                             .size_in_bytes();
+  const int64_t gv = BuildIndex(disk, name + ".ginv", collection,
+                                PostingCompression::kGroupVarint)
+                         .size_in_bytes();
+  std::printf("%-8s %12lld %12lld %12lld %8.2f %8.2f %10.2f\n", label,
+              static_cast<long long>(plain), static_cast<long long>(varint),
+              static_cast<long long>(gv),
+              static_cast<double>(plain) / static_cast<double>(varint),
+              static_cast<double>(plain) / static_cast<double>(gv),
+              static_cast<double>(gv) / static_cast<double>(varint));
 }
 
 }  // namespace
@@ -35,32 +56,41 @@ void Report(const char* label, const InvertedFile& plain,
 
 int main() {
   using namespace textjoin;
-  std::printf("== Posting compression: delta + varint vs 5-byte cells ==\n");
+  std::printf("== Posting compression: 5-byte cells vs delta+varint vs "
+              "group-varint ==\n");
 
   SimulatedDisk disk(kPage);
   // A dense collection (small universe => small document gaps) and a
-  // sparse one (large universe => large gaps, weaker compression).
-  SyntheticSpec dense_spec{800, 12.0, 600, 1.0, 0, 61};
-  SyntheticSpec sparse_spec{800, 12.0, 60000, 1.0, 0, 62};
-  auto dense = GenerateCollection(&disk, "dense", dense_spec);
-  auto sparse = GenerateCollection(&disk, "sparse", sparse_spec);
-  TEXTJOIN_CHECK_OK(dense.status());
-  TEXTJOIN_CHECK_OK(sparse.status());
+  // sparse one (large universe => large gaps, weaker compression), then
+  // the WSJ/FR/DOE workload shapes (documents, terms per document,
+  // vocabulary) at seed 77.
+  struct Shape {
+    const char* label;
+    SyntheticSpec spec;
+  };
+  const Shape shapes[] = {
+      {"dense", SyntheticSpec{800, 12.0, 600, 1.0, 0, 61}},
+      {"sparse", SyntheticSpec{800, 12.0, 60000, 1.0, 0, 62}},
+      {"wsj", SyntheticSpec{600, 82.0, 20000, 1.0, 0, 77}},
+      {"fr", SyntheticSpec{2000, 254.0, 40000, 1.0, 0, 77}},
+      {"doe", SyntheticSpec{4000, 22.0, 20000, 1.0, 0, 77}},
+  };
+  std::printf("%-8s %12s %12s %12s %8s %8s %10s\n", "shape", "plain(B)",
+              "varint(B)", "gv(B)", "p/varint", "p/gv", "gv/varint");
+  for (const Shape& shape : shapes) {
+    auto collection = GenerateCollection(&disk, shape.label, shape.spec);
+    TEXTJOIN_CHECK_OK(collection.status());
+    ReportSizes(&disk, shape.label, *collection);
+  }
 
+  auto dense = GenerateCollection(&disk, "dense_join", shapes[0].spec);
+  TEXTJOIN_CHECK_OK(dense.status());
   InvertedFile::BuildOptions packed_opts{PostingCompression::kDeltaVarint};
-  auto dense_plain = InvertedFile::Build(&disk, "dense.inv", *dense);
+  auto dense_plain = InvertedFile::Build(&disk, "dense_join.inv", *dense);
   auto dense_packed =
-      InvertedFile::Build(&disk, "dense.vinv", *dense, packed_opts);
-  auto sparse_plain = InvertedFile::Build(&disk, "sparse.inv", *sparse);
-  auto sparse_packed =
-      InvertedFile::Build(&disk, "sparse.vinv", *sparse, packed_opts);
+      InvertedFile::Build(&disk, "dense_join.vinv", *dense, packed_opts);
   TEXTJOIN_CHECK_OK(dense_plain.status());
   TEXTJOIN_CHECK_OK(dense_packed.status());
-  TEXTJOIN_CHECK_OK(sparse_plain.status());
-  TEXTJOIN_CHECK_OK(sparse_packed.status());
-
-  Report("dense", *dense_plain, *dense_packed);
-  Report("sparse", *sparse_plain, *sparse_packed);
 
   // Measured join I/O on the dense workload.
   auto outer = GenerateCollection(

@@ -1,10 +1,11 @@
 // Wall-time trajectory of the dispatched hot-path kernels: every kernel
-// family (posting-block decode, contribution scaling, pair bounds, term
-// merge) timed at every dispatch level compiled into this binary and
-// usable on this CPU, against the scalar varint decode as the pre-SIMD
-// baseline. Reports ns/op and cells/sec per (kernel, level) cell and
-// verifies — before timing anything — that every level produces bitwise
-// identical output, so a throughput win can never hide a numeric drift.
+// family (posting-block decode, contribution scaling, pair bounds) timed
+// at every dispatch level compiled into this binary and usable on this
+// CPU, plus the portable term merge once per shape, against the scalar
+// varint decode as the pre-SIMD baseline. Reports ns/op and cells/sec per
+// (kernel, level) cell and verifies — before timing anything — that every
+// level produces bitwise identical output, so a throughput win can never
+// hide a numeric drift.
 //
 //   --smoke   CI-sized workload; additionally enforces the headline the
 //             tentpole must defend: group-varint decode through the best
@@ -157,7 +158,7 @@ void Main(bool smoke, bool json) {
   }
   const kernel::KernelTable& scalar = kernel::TableFor(kernel::Level::kScalar);
   {
-    // Scoring and merge kernels: bitwise-compare each level to scalar.
+    // Scoring kernels: bitwise-compare each level to scalar.
     const int64_t nb = 1024;
     kernel::DoubleBuffer ref_contrib(static_cast<size_t>(kBlock));
     kernel::DoubleBuffer got_contrib(static_cast<size_t>(kBlock));
@@ -173,19 +174,6 @@ void Main(bool smoke, bool json) {
     kernel::DoubleBuffer got_ub(static_cast<size_t>(nb));
     scalar.pair_bounds(bounds.data(), nb, 2.0, 40.0, 8.0, 0.125, true,
                        ref_ub.data());
-    std::vector<DCell> da, db;
-    for (int64_t i = 0; i < nb; ++i) {
-      da.push_back(DCell{static_cast<TermId>(2 * i), 3});
-      db.push_back(DCell{static_cast<TermId>(3 * i), 5});
-    }
-    std::vector<int32_t> rma(static_cast<size_t>(nb)),
-        rmb(static_cast<size_t>(nb)), gma(static_cast<size_t>(nb)),
-        gmb(static_cast<size_t>(nb));
-    kernel::MergeCursor rcur;
-    int64_t rnm = 0;
-    const int64_t rsteps =
-        scalar.merge_linear(da.data(), nb, db.data(), nb, &rcur,
-                            1ll << 60, rma.data(), rmb.data(), &rnm);
     for (kernel::Level level : levels) {
       const kernel::KernelTable& k = kernel::TableFor(level);
       k.scale_cells(cells.data(), kBlock, 1.25, 0.75, got_contrib.data());
@@ -198,18 +186,6 @@ void Main(bool smoke, bool json) {
       if (std::memcmp(ref_ub.data(), got_ub.data(),
                       sizeof(double) * static_cast<size_t>(nb)) != 0) {
         Fatal("pair_bounds output", k.name);
-      }
-      kernel::MergeCursor cur;
-      int64_t nm = 0;
-      const int64_t steps =
-          k.merge_linear(da.data(), nb, db.data(), nb, &cur, 1ll << 60,
-                         gma.data(), gmb.data(), &nm);
-      if (steps != rsteps || nm != rnm ||
-          std::memcmp(rma.data(), gma.data(),
-                      sizeof(int32_t) * static_cast<size_t>(rnm)) != 0 ||
-          std::memcmp(rmb.data(), gmb.data(),
-                      sizeof(int32_t) * static_cast<size_t>(rnm)) != 0) {
-        Fatal("merge_linear output", k.name);
       }
     }
   }
@@ -278,43 +254,43 @@ void Main(bool smoke, bool json) {
           Cell{"pair_bounds", k.name, ns,
                static_cast<double>(nb) / (ns * 1e-9)});
     }
-    {
-      // Two merge shapes: interleaved (term strides 2 and 3 — runs of 1-2
-      // cells, the common same-length-document case) and run-heavy (a
-      // sparse side against a dense one — long single-side runs, where
-      // the wide compare skips whole registers).
-      const int64_t nd = 2048;
-      std::vector<DCell> da, db, sparse;
-      for (int64_t i = 0; i < nd; ++i) {
-        da.push_back(DCell{static_cast<TermId>(2 * i), 3});
-        db.push_back(DCell{static_cast<TermId>(3 * i), 5});
-      }
-      const int64_t nsparse = 64;
-      for (int64_t i = 0; i < nsparse; ++i) {
-        sparse.push_back(DCell{static_cast<TermId>(i * 3 * (nd / nsparse)), 7});
-      }
-      std::vector<int32_t> ma(static_cast<size_t>(nd)),
-          mb(static_cast<size_t>(nd));
-      double steps_per_call = 0;
-      const double ns = MeasureNs([&] {
-        kernel::MergeCursor cur;
-        int64_t nm = 0;
-        steps_per_call = static_cast<double>(
-            k.merge_linear(da.data(), nd, db.data(), nd, &cur, 1ll << 60,
-                           ma.data(), mb.data(), &nm));
-      });
-      results.push_back(
-          Cell{"merge_linear", k.name, ns, steps_per_call / (ns * 1e-9)});
-      const double ns_runs = MeasureNs([&] {
-        kernel::MergeCursor cur;
-        int64_t nm = 0;
-        steps_per_call = static_cast<double>(
-            k.merge_linear(sparse.data(), nsparse, db.data(), nd, &cur,
-                           1ll << 60, ma.data(), mb.data(), &nm));
-      });
-      results.push_back(Cell{"merge_linear_runs", k.name, ns_runs,
-                             steps_per_call / (ns_runs * 1e-9)});
+  }
+  {
+    // The term merge is one portable loop, not a dispatched kernel, so it
+    // gets one row per shape: interleaved (term strides 2 and 3 — runs of
+    // 1-2 cells, the common same-length-document case) and run-heavy (a
+    // sparse side against a dense one — long single-side runs).
+    const int64_t nd = 2048;
+    std::vector<DCell> da, db, sparse;
+    for (int64_t i = 0; i < nd; ++i) {
+      da.push_back(DCell{static_cast<TermId>(2 * i), 3});
+      db.push_back(DCell{static_cast<TermId>(3 * i), 5});
     }
+    const int64_t nsparse = 64;
+    for (int64_t i = 0; i < nsparse; ++i) {
+      sparse.push_back(DCell{static_cast<TermId>(i * 3 * (nd / nsparse)), 7});
+    }
+    std::vector<int32_t> ma(static_cast<size_t>(nd)),
+        mb(static_cast<size_t>(nd));
+    double steps_per_call = 0;
+    const double ns = MeasureNs([&] {
+      kernel::MergeCursor cur;
+      int64_t nm = 0;
+      steps_per_call = static_cast<double>(kernel::MergeLinearPortable(
+          da.data(), nd, db.data(), nd, &cur, 1ll << 60, ma.data(), mb.data(),
+          &nm));
+    });
+    results.push_back(
+        Cell{"merge_linear", "portable", ns, steps_per_call / (ns * 1e-9)});
+    const double ns_runs = MeasureNs([&] {
+      kernel::MergeCursor cur;
+      int64_t nm = 0;
+      steps_per_call = static_cast<double>(kernel::MergeLinearPortable(
+          sparse.data(), nsparse, db.data(), nd, &cur, 1ll << 60, ma.data(),
+          mb.data(), &nm));
+    });
+    results.push_back(Cell{"merge_linear_runs", "portable", ns_runs,
+                           steps_per_call / (ns_runs * 1e-9)});
   }
 
   const double speedup = varint_cells_per_sec > 0

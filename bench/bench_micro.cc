@@ -93,13 +93,14 @@ struct TrivialCollections {
   DocumentCollection c1, c2;
 };
 
-// The adaptive-merge decision in one picture: sweep the document length
-// ratio with each intersection kernel. Linear pays short+long steps per
-// pair, galloping short*(2*log2(ratio)+2); adaptive switches between them
-// at kGallopSizeRatio. All three produce bit-identical sums.
-void BM_MergeKernelSkew(benchmark::State& state) {
+// The galloping switch in one picture: sweep the document length ratio
+// with the linear walk (arg 0: WeightedDotDetailed) and with the kernel
+// that picks by length (arg 1: WeightedDotKernel). Linear pays short+long
+// steps per pair, galloping short*(2*log2(ratio)+2); WeightedDotKernel
+// switches at kGallopSizeRatio. Both produce bit-identical sums.
+void BM_MergeSkew(benchmark::State& state) {
   const int64_t skew = state.range(0);
-  const auto kernel = static_cast<MergeKernel>(state.range(1));
+  const bool by_length = state.range(1) != 0;
   const int64_t short_terms = 48;
   const int64_t long_terms = short_terms * skew;
   SimulatedDisk disk(4096);
@@ -109,7 +110,8 @@ void BM_MergeKernelSkew(benchmark::State& state) {
   Document b = MakeDoc(long_terms, long_terms * 4, 2);
   int64_t steps = 0;
   for (auto _ : state) {
-    DotDetail d = WeightedDotKernel(a, b, *ctx, kernel);
+    DotDetail d = by_length ? WeightedDotKernel(a, b, *ctx)
+                            : WeightedDotDetailed(a, b, *ctx);
     steps = d.merge_steps;
     benchmark::DoNotOptimize(d.acc);
   }
@@ -118,11 +120,7 @@ void BM_MergeKernelSkew(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (short_terms + long_terms) *
                           static_cast<int64_t>(sizeof(DCell)));
 }
-BENCHMARK(BM_MergeKernelSkew)
-    ->ArgsProduct({{1, 4, 16, 64, 256},
-                   {static_cast<int64_t>(MergeKernel::kLinear),
-                    static_cast<int64_t>(MergeKernel::kGalloping),
-                    static_cast<int64_t>(MergeKernel::kAdaptive)}});
+BENCHMARK(BM_MergeSkew)->ArgsProduct({{1, 4, 16, 64, 256}, {0, 1}});
 
 // The bound-check fast path HHNL runs before each candidate merge: three
 // precomputed scalars per side, two multiplies and a heap comparison —

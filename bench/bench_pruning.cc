@@ -1,8 +1,8 @@
 // A3: pruning ablation on TREC-shaped workloads. The TREC profiles are
 // statistics-only, so each workload is a synthetic collection pair scaled
 // down 1:4 in per-document terms (and far down in document count) while
-// keeping the profiles' length RATIOS — the quantity the adaptive merge
-// kernel and the bound checks respond to. Every join runs twice, pruning
+// keeping the profiles' length RATIOS — the quantity the galloping switch
+// and the bound checks respond to. Every join runs twice, pruning
 // on (the default JoinSpec) and off, results are verified identical, and
 // the table reports the measured CPU counters side by side:
 //
@@ -14,8 +14,9 @@
 // plus the candidate pairs skipped outright (HHNL) and accumulator
 // admissions suppressed (HVNL/VVM). The FR(x2) x DOE workload is the
 // paper's Group 5 merge transform applied to the FR-like side: at a ~23x
-// length ratio the adaptive kernel gallops and merge steps collapse,
-// which is where the headline reduction comes from.
+// length ratio HHNL gallops with pruning on AND off (the switch is a
+// length rule, not a PruningConfig field), so that row isolates what the
+// bounds save on top of galloping.
 
 #include <cstdio>
 #include <cstdlib>

@@ -49,13 +49,11 @@ struct CostInputs {
   // and scanned sequentially (Groups 1, 2, 4, 5).
   bool outer_reads_random = false;
 
-  // CPU-model pruning knobs (cost/cpu_model.h): the expected fraction of
-  // candidate pairs the executor's top-lambda bounds skip, and whether the
-  // adaptive galloping merge kernel is enabled. Both default to "off" so
-  // the I/O formulas and the unpruned CPU estimates are unchanged; the
-  // planner fills them from JoinSpec::pruning.
+  // CPU-model pruning knob (cost/cpu_model.h): the expected fraction of
+  // candidate pairs the executor's top-lambda bounds skip. Defaults to
+  // "off" so the I/O formulas and the unpruned CPU estimates are
+  // unchanged; the planner fills it from JoinSpec::pruning.
   double pruning_rate = 0.0;
-  bool adaptive_merge = false;
   // Block-max traversal (PruningConfig::block_skip): per-block maxima let
   // the executors skip whole 64-cell posting blocks (decode discount for
   // HVNL/VVM) and gallop over block summaries (merge discount for HHNL).

@@ -58,20 +58,17 @@ CpuEstimate HhnlCpuCost(const CostInputs& in) {
   // Every pair walks both sorted cell lists: between max(K1,K2) and
   // K1+K2 steps; the expectation is K1 + K2 - common.
   double merge_per_pair = d.K1 + d.K2 - d.common;
-  if (in.adaptive_merge) {
-    // Skewed lengths switch to galloping: the shorter document's cells
-    // each cost one probe step plus ~2*log2(ratio) search probes. Block
-    // summaries (in.block_skip, one probe per 64-cell block) prune the
-    // search range to roughly one block plus the summary walk, halving
-    // the per-cell probe count.
-    const double shorter = std::max(1.0, std::min(d.K1, d.K2));
-    const double ratio = std::max(d.K1, d.K2) / shorter;
-    if (ratio >= 16.0) {
-      const double probes = in.block_skip ? std::log2(ratio) + 2.0
-                                          : 2.0 * std::log2(ratio) + 2.0;
-      merge_per_pair =
-          std::min(merge_per_pair, shorter * probes + d.common);
-    }
+  // Skewed lengths switch to galloping: the shorter document's cells each
+  // cost one probe step plus ~2*log2(ratio) search probes. Block summaries
+  // (in.block_skip, one probe per 64-cell block) prune the search range to
+  // roughly one block plus the summary walk, halving the per-cell probe
+  // count.
+  const double shorter = std::max(1.0, std::min(d.K1, d.K2));
+  const double ratio = std::max(d.K1, d.K2) / shorter;
+  if (ratio >= 16.0) {
+    const double probes = in.block_skip ? std::log2(ratio) + 2.0
+                                        : 2.0 * std::log2(ratio) + 2.0;
+    merge_per_pair = std::min(merge_per_pair, shorter * probes + d.common);
   }
   const double rate = std::clamp(in.pruning_rate, 0.0, 1.0);
   const double survivors = 1.0 - rate;

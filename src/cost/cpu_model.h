@@ -43,16 +43,16 @@ struct CpuEstimate {
 // to [0, 0.9]; 0 when pruning cannot help (lambda >= delta*N1).
 double ExpectedPruningRate(const CostInputs& in);
 
-// When in.pruning_rate > 0 (the planner sets it from the query's
-// PruningConfig via ExpectedPruningRate) the estimates discount the merge,
-// accumulation and heap work by the expected pruning rate and charge the
-// bound checks instead; in.adaptive_merge additionally caps HHNL's
-// per-pair merge cost by the galloping kernel's probe count on skewed
-// document lengths. in.block_skip refines both: block-summary galloping
-// halves HHNL's probe count, and block-granular decode discounts the
-// pruned share of HVNL's fetched cells and VVM's C1 scan. With all three
-// at their defaults (0, false, false) the estimates are exactly the
-// unpruned formulas.
+// HHNL's per-pair merge cost is capped by the galloping probe count on
+// skewed document lengths (the executors gallop at kGallopSizeRatio
+// whatever the PruningConfig). When in.pruning_rate > 0 (the planner sets
+// it from the query's PruningConfig via ExpectedPruningRate) the
+// estimates discount the merge, accumulation and heap work by the
+// expected pruning rate and charge the bound checks instead.
+// in.block_skip refines both: block-summary galloping halves HHNL's probe
+// count, and block-granular decode discounts the pruned share of HVNL's
+// fetched cells and VVM's C1 scan. With both at their defaults (0, false)
+// the estimates are exactly the unpruned formulas.
 CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);

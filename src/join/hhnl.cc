@@ -19,25 +19,16 @@ namespace {
 // early-exit merge needs them.
 struct PairPruner {
   explicit PairPruner(const JoinSpec& spec, const SimilarityContext& sim)
-      : prune(spec.pruning),
-        sim(sim),
-        kernel(spec.pruning.adaptive_merge ? MergeKernel::kAdaptive
-                                           : MergeKernel::kLinear) {}
+      : prune(spec.pruning), sim(sim) {}
 
   PruningConfig prune;
   const SimilarityContext& sim;
-  MergeKernel kernel;
 
   // Bound-tightness telemetry: mean score/bound ratio of evaluated pairs.
   double tightness_sum = 0;
   int64_t tightness_n = 0;
 
   bool active() const { return prune.bound_skip || prune.early_exit; }
-
-  // Block-boundary galloping only refines the adaptive kernel.
-  bool use_blocks() const {
-    return prune.adaptive_merge && prune.block_skip;
-  }
 
   DocBounds Bounds(const DocumentCollection& collection, DocId doc,
                    const Document& d, const DocumentNorms& norms) const {
@@ -99,7 +90,7 @@ struct PairPruner {
     if (prune.early_exit) {
       PrunedDotResult r =
           WeightedDotPruned(d1, d2, sim, s1, s2, b1.inv_norm * b2.inv_norm,
-                            inner_doc, *heap, kernel, k1, k2);
+                            inner_doc, *heap, k1, k2);
       if (cpu != nullptr) {
         cpu->cell_compares += r.detail.merge_steps;
         cpu->accumulations += r.detail.common_terms;
@@ -111,16 +102,14 @@ struct PairPruner {
         return;
       }
       acc = r.detail.acc;
-    } else if (cpu != nullptr || prune.adaptive_merge) {
-      DotDetail d = WeightedDotKernel(d1, d2, sim, kernel, k1, k2);
+    } else {
+      DotDetail d = WeightedDotKernel(d1, d2, sim, k1, k2);
       if (cpu != nullptr) {
         cpu->cell_compares += d.merge_steps;
         cpu->accumulations += d.common_terms;
         cpu->blocks_skipped += d.blocks_skipped;
       }
       acc = d.acc;
-    } else {
-      acc = WeightedDot(d1, d2, sim);
     }
     if (acc <= 0) return;
     if (cpu != nullptr) ++cpu->heap_offers;
@@ -220,7 +209,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
         }
       }
     }
-    if (pruner.use_blocks()) {
+    if (pruner.prune.block_skip) {
       batch_blocks.resize(batch_size);
       for (size_t i = 0; i < batch_size; ++i) {
         batch_blocks[i].Build(batch[i]);
@@ -243,7 +232,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
                                ctx.similarity->inner_norms);
             if (pruner.prune.early_exit) s1.Build(d1, *ctx.similarity);
           }
-          if (pruner.use_blocks()) k1.Build(d1);
+          if (pruner.prune.block_skip) k1.Build(d1);
           // One kernel call bounds the inner document against the whole
           // resident batch (the inner document is PairUpperBound's first
           // argument here).
@@ -258,7 +247,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
                 batch_bounds.empty() ? b1 : batch_bounds[i], s1,
                 batch_suffix.empty() ? no_suffix : batch_suffix[i],
                 inner_doc, batch_docs[i], &heaps[i], cpu,
-                pruner.use_blocks() ? &k1 : nullptr,
+                pruner.prune.block_skip ? &k1 : nullptr,
                 batch_blocks.empty() ? nullptr : &batch_blocks[i],
                 batched_ub ? &pair_ubs[i] : nullptr);
           }
@@ -341,7 +330,7 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         }
       }
     }
-    if (pruner.use_blocks()) {
+    if (pruner.prune.block_skip) {
       batch_blocks.resize(batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         batch_blocks[i].Build(batch[i]);
@@ -370,7 +359,7 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
                            ctx.similarity->outer_norms);
         if (pruner.prune.early_exit) s2.Build(d2, *ctx.similarity);
       }
-      if (pruner.use_blocks()) k2.Build(d2);
+      if (pruner.prune.block_skip) k2.Build(d2);
       // One kernel call bounds the outer document against the resident
       // inner batch (the outer document is PairUpperBound's second
       // argument here, hence fixed_is_a = false).
@@ -385,7 +374,7 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
             batch_suffix.empty() ? no_suffix : batch_suffix[i], s2,
             batch_docs[i], outer_doc, &heaps[oi], cpu,
             batch_blocks.empty() ? nullptr : &batch_blocks[i],
-            pruner.use_blocks() ? &k2 : nullptr,
+            pruner.prune.block_skip ? &k2 : nullptr,
             batched_ub ? &pair_ubs[i] : nullptr);
       }
     }

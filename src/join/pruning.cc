@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "kernel/dispatch.h"
+#include "kernel/kernels.h"
 
 namespace textjoin {
 
@@ -62,7 +62,6 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
                                   const SuffixBounds& b1,
                                   const SuffixBounds& b2, double inv_denom,
                                   DocId doc, const TopKAccumulator& heap,
-                                  MergeKernel kernel,
                                   const DocBlockIndex* blocks1,
                                   const DocBlockIndex* blocks2) {
   const auto& a = d1.cells();
@@ -71,16 +70,7 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
   DotDetail& det = out.detail;
   int64_t next_check = kEarlyExitStride;
 
-  if (kernel == MergeKernel::kAdaptive) {
-    const size_t shorter = std::min(a.size(), b.size());
-    const size_t longer = std::max(a.size(), b.size());
-    kernel = (shorter > 0 &&
-              longer >= shorter * static_cast<size_t>(kGallopSizeRatio))
-                 ? MergeKernel::kGalloping
-                 : MergeKernel::kLinear;
-  }
-
-  if (kernel == MergeKernel::kGalloping) {
+  if (UseGalloping(a.size(), b.size())) {
     const bool d1_short = a.size() <= b.size();
     const auto& s = d1_short ? a : b;
     const auto& l = d1_short ? b : a;
@@ -117,12 +107,10 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
     return out;
   }
 
-  // Linear arm through the dispatched merge kernel, chunked at the bound-
-  // check cadence: each kernel call's step budget is exactly the distance
-  // to the next scheduled check, so bound checks fire at the same logical
-  // step, at the same merge positions, with the same accumulator value as
-  // the scalar walk — the early-exit decision stream is bit-identical.
-  const auto& k = kernel::Active();
+  // Linear arm, chunked at the bound-check cadence: each merge call's step
+  // budget is exactly the distance to the next scheduled check, so bound
+  // checks fire at the same logical step, at the same merge positions,
+  // with the same accumulator value as one uninterrupted walk.
   const int64_t na = static_cast<int64_t>(a.size());
   const int64_t nb = static_cast<int64_t>(b.size());
   kernel::MergeCursor cur;
@@ -144,8 +132,8 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
     // far ahead), so the fixed match arrays above always have room.
     const int64_t budget = next_check - det.merge_steps;
     int64_t nm = 0;
-    det.merge_steps +=
-        k.merge_linear(a.data(), na, b.data(), nb, &cur, budget, ma, mb, &nm);
+    det.merge_steps += kernel::MergeLinearPortable(a.data(), na, b.data(), nb,
+                                                   &cur, budget, ma, mb, &nm);
     for (int64_t m = 0; m < nm; ++m) {
       const DCell& ca = a[static_cast<size_t>(ma[m])];
       const DCell& cb = b[static_cast<size_t>(mb[m])];

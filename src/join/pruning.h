@@ -60,23 +60,16 @@ struct PruningConfig {
   // Early termination inside an HHNL merge when the remaining suffix bound
   // cannot lift the pair over the threshold.
   bool early_exit = true;
-  // Adaptive galloping merge kernel for skewed document lengths.
-  bool adaptive_merge = true;
   // Block-max traversal (index/inverted_file.h): per-block maxima refine
   // the admission bounds of HVNL/VVM (per-candidate document-span bounds,
   // accumulator trimming, whole-block skips with block-granular decode)
-  // and let the galloping merge kernel probe block boundaries. Effective
-  // only alongside the switch it refines (bound_skip for the suppression
-  // layers, adaptive_merge for the kernel); results are bit-identical
+  // and let the galloping merge probe block boundaries. The suppression
+  // layers use it only alongside bound_skip; results are bit-identical
   // either way (blockmax_test enforces this under TEXTJOIN_STRESS_SEED).
   bool block_skip = true;
 
-  bool any() const {
-    return bound_skip || early_exit || adaptive_merge || block_skip;
-  }
-
   static PruningConfig Disabled() {
-    return PruningConfig{false, false, false, false};
+    return PruningConfig{false, false, false};
   }
 };
 
@@ -153,7 +146,6 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
                                   const SuffixBounds& b1,
                                   const SuffixBounds& b2, double inv_denom,
                                   DocId doc, const TopKAccumulator& heap,
-                                  MergeKernel kernel,
                                   const DocBlockIndex* blocks1 = nullptr,
                                   const DocBlockIndex* blocks2 = nullptr);
 

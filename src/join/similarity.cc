@@ -6,16 +6,16 @@
 #include <vector>
 
 #include "index/inverted_file.h"
-#include "kernel/dispatch.h"
+#include "kernel/kernels.h"
 
 namespace textjoin {
 
 namespace {
 
-// Match-list scratch of the dispatched merge kernel, reused across calls
-// so the per-pair hot path stays allocation-free once warmed up. The
-// kernel reports matched index pairs; a match list can never be longer
-// than the shorter document.
+// Match-list scratch of the linear merge, reused across calls so the
+// per-pair hot path stays allocation-free once warmed up. The merge
+// reports matched index pairs; a match list can never be longer than the
+// shorter document.
 struct MergeScratch {
   std::vector<int32_t> a, b;
   void Ensure(size_t n) {
@@ -111,29 +111,7 @@ Result<SimilarityContext> SimilarityContext::Create(
 
 double WeightedDot(const Document& d1, const Document& d2,
                    const SimilarityContext& ctx) {
-  // The dispatched merge kernel finds the common terms; the contributions
-  // are then accumulated sequentially in ascending term order — the same
-  // products in the same order as the scalar two-pointer walk, so the
-  // result is bit-identical at every dispatch level.
-  const auto& a = d1.cells();
-  const auto& b = d2.cells();
-  const int64_t na = static_cast<int64_t>(a.size());
-  const int64_t nb = static_cast<int64_t>(b.size());
-  MergeScratch& scratch = g_merge_scratch;
-  scratch.Ensure(static_cast<size_t>(std::min(na, nb)));
-  kernel::MergeCursor cur;
-  int64_t nm = 0;
-  kernel::Active().merge_linear(a.data(), na, b.data(), nb, &cur,
-                                std::numeric_limits<int64_t>::max(),
-                                scratch.a.data(), scratch.b.data(), &nm);
-  double acc = 0;
-  for (int64_t k = 0; k < nm; ++k) {
-    const DCell& ca = a[static_cast<size_t>(scratch.a[k])];
-    const DCell& cb = b[static_cast<size_t>(scratch.b[k])];
-    acc += static_cast<double>(ca.weight) * static_cast<double>(cb.weight) *
-           ctx.TermFactor(ca.term);
-  }
-  return acc;
+  return WeightedDotDetailed(d1, d2, ctx).acc;
 }
 
 DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
@@ -147,10 +125,11 @@ DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
   scratch.Ensure(static_cast<size_t>(std::min(na, nb)));
   kernel::MergeCursor cur;
   int64_t nm = 0;
-  // The kernel meters one logical step per scalar-walk iteration whatever
-  // level runs, so merge_steps is the machine-independent count the
-  // simulated CPU model expects.
-  out.merge_steps = kernel::Active().merge_linear(
+  // The merge finds the common terms, metering one logical step per
+  // two-pointer iteration — the machine-independent count the simulated
+  // CPU model expects. The contributions are then accumulated
+  // sequentially in ascending term order.
+  out.merge_steps = kernel::MergeLinearPortable(
       a.data(), na, b.data(), nb, &cur, std::numeric_limits<int64_t>::max(),
       scratch.a.data(), scratch.b.data(), &nm);
   for (int64_t k = 0; k < nm; ++k) {
@@ -295,20 +274,10 @@ DotDetail GallopingDot(const Document& d1, const Document& d2,
 }  // namespace
 
 DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx, MergeKernel kernel,
+                            const SimilarityContext& ctx,
                             const DocBlockIndex* blocks1,
                             const DocBlockIndex* blocks2) {
-  if (kernel == MergeKernel::kAdaptive) {
-    const size_t n1 = d1.cells().size();
-    const size_t n2 = d2.cells().size();
-    const size_t shorter = std::min(n1, n2);
-    const size_t longer = std::max(n1, n2);
-    kernel = (shorter > 0 &&
-              longer >= shorter * static_cast<size_t>(kGallopSizeRatio))
-                 ? MergeKernel::kGalloping
-                 : MergeKernel::kLinear;
-  }
-  return kernel == MergeKernel::kGalloping
+  return UseGalloping(d1.cells().size(), d2.cells().size())
              ? GallopingDot(d1, d2, ctx, blocks1, blocks2)
              : WeightedDotDetailed(d1, d2, ctx);
 }

@@ -1,6 +1,7 @@
 #ifndef TEXTJOIN_JOIN_SIMILARITY_H_
 #define TEXTJOIN_JOIN_SIMILARITY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -134,25 +135,20 @@ struct DotDetail {
 DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
                               const SimilarityContext& ctx);
 
-// Which intersection kernel WeightedDotKernel runs.
-//
-// All kernels visit the common terms in the same ascending order and
-// evaluate each contribution with the same expression, so their
-// accumulated sums are bit-identical — they differ only in how many merge
-// steps they spend finding the common terms (metered in
-// DotDetail::merge_steps: one per cell visited or search probe made).
-enum class MergeKernel {
-  kLinear,     // the paper's two-pointer walk, O(|d1| + |d2|)
-  kGalloping,  // exponential + binary search from the shorter document,
-               // O(short * log(long)) — wins when lengths are skewed
-  kAdaptive,   // kGalloping when the length ratio reaches
-               // kGallopSizeRatio, else kLinear
-};
-
-// Length ratio at which the adaptive kernel switches to galloping: at 16x
-// the expected probe count short*(2*log2(ratio)+2) drops below the linear
+// Length ratio at which WeightedDotKernel switches from the paper's
+// two-pointer walk, O(|d1| + |d2|), to galloping — exponential + binary
+// search from the shorter document, O(short * log(long)). At 16x the
+// expected probe count short*(2*log2(ratio)+2) drops below the linear
 // walk's short+long steps.
 inline constexpr int64_t kGallopSizeRatio = 16;
+
+// The one length rule every merge applies: gallop when the longer cell
+// list is at least kGallopSizeRatio times the (nonempty) shorter one.
+inline bool UseGalloping(size_t n1, size_t n2) {
+  const size_t shorter = std::min(n1, n2);
+  return shorter > 0 &&
+         std::max(n1, n2) >= shorter * static_cast<size_t>(kGallopSizeRatio);
+}
 
 // Last term of each fixed-size cell block of a document — the d-cell
 // mirror of the inverted file's per-block summaries (block size
@@ -171,10 +167,16 @@ class DocBlockIndex {
   std::vector<TermId> last_;
 };
 
-// The block indexes are optional (null = plain galloping); when present
-// they must index the corresponding document's cells.
+// WeightedDotDetailed with the intersection picked by UseGalloping. Both
+// arms visit the common terms in the same ascending order and evaluate
+// each contribution with the same expression, so acc and common_terms are
+// bit-identical to WeightedDotDetailed's; when it gallops only
+// merge_steps (one per cell visited or search probe made) differs. The
+// block indexes are optional
+// (null = plain galloping); when present they must index the
+// corresponding document's cells.
 DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx, MergeKernel kernel,
+                            const SimilarityContext& ctx,
                             const DocBlockIndex* blocks1 = nullptr,
                             const DocBlockIndex* blocks2 = nullptr);
 

@@ -8,6 +8,7 @@
 #include "kernel/dispatch.h"
 #include "kernel/group_varint.h"
 #include "kernel/kernels.h"
+#include "storage/coding.h"
 #include "text/types.h"
 
 namespace textjoin {
@@ -15,9 +16,10 @@ namespace kernel {
 
 namespace {
 
-// One posting block's worth of cells (kPostingBlockCells; varint.h is
-// header-only so this file can stay free of a link dependency on the
-// index library, which itself links against the kernels).
+// One posting block's worth of cells (kPostingBlockCells; varint.h and
+// coding.h are header-only so this file can stay free of a link
+// dependency on the index and storage libraries — the index library
+// itself links against the kernels).
 constexpr int64_t kCells = 64;
 
 // Keep results observable so the measured loops cannot be optimized away.
@@ -91,8 +93,8 @@ CalibratedCosts Measure() {
     for (int r = 0; r < kRounds; ++r) {
       MergeCursor cur;
       int64_t nm = 0;
-      total_steps += k.merge_linear(a.data(), 256, b.data(), 256, &cur, 512,
-                                    ma, mb, &nm);
+      total_steps += MergeLinearPortable(a.data(), 256, b.data(), 256, &cur,
+                                         512, ma, mb, &nm);
       g_sink_i = nm;
     }
     costs.ns_per_merge_step =
@@ -127,6 +129,26 @@ CalibratedCosts Measure() {
       g_sink_i = out.back().doc;
     }
     costs.ns_per_cell_varint =
+        NsPerOp(kRounds * kCells, t0, std::chrono::steady_clock::now());
+  }
+
+  {  // kNone block decode: the paper's fixed 5-byte i-cells, replicated
+     // from index/inverted_file.cc on top of the header-only coders.
+    std::vector<uint8_t> enc;
+    for (const ICell& c : cells) {
+      PutFixed24(&enc, c.doc);
+      PutFixed16(&enc, c.weight);
+    }
+    std::vector<ICell> out(static_cast<size_t>(kCells));
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < kRounds; ++r) {
+      for (int64_t i = 0; i < kCells; ++i) {
+        const uint8_t* p = enc.data() + kICellBytes * i;
+        out[static_cast<size_t>(i)] = ICell{GetFixed24(p), GetFixed16(p + 3)};
+      }
+      g_sink_i = out.back().doc;
+    }
+    costs.ns_per_cell_fixed =
         NsPerOp(kRounds * kCells, t0, std::chrono::steady_clock::now());
   }
 

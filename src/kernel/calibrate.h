@@ -15,6 +15,7 @@ struct CalibratedCosts {
   double ns_per_accumulation = 0;   // contribution scale + add, per cell
   double ns_per_cell_varint = 0;    // kDeltaVarint block decode, per cell
   double ns_per_cell_gv = 0;        // kGroupVarint block decode, per cell
+  double ns_per_cell_fixed = 0;     // kNone (5-byte i-cell) decode, per cell
 };
 
 // Measured once per process (first call pays a few milliseconds of

@@ -1,117 +1,53 @@
 #include "kernel/dispatch.h"
 
-#include <cstdlib>
-
 namespace textjoin {
 namespace kernel {
 
 namespace {
 
-// Compiled in AND reported usable by this CPU. The SIMD tables only exist
-// when their translation units were compiled (TEXTJOIN_HAVE_* comes from
+// Compiled in AND reported usable by this CPU. The AVX2 table only exists
+// when its translation unit was compiled (TEXTJOIN_HAVE_AVX2 comes from
 // src/kernel/CMakeLists.txt probing the compiler), so both conditions
 // gate together here.
-bool Usable(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-    case Level::kSse42:
-#ifdef TEXTJOIN_HAVE_SSE42
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
-    case Level::kAvx2:
+bool Avx2Usable() {
 #ifdef TEXTJOIN_HAVE_AVX2
-      return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0;
 #else
-      return false;
-#endif
-  }
   return false;
-}
-
-Level Detect() {
-  Level level = Level::kScalar;
-  if (Usable(Level::kSse42)) level = Level::kSse42;
-  if (Usable(Level::kAvx2)) level = Level::kAvx2;
-  // The env override only ever dials DOWN: naming a level the CPU or the
-  // binary does not have silently keeps the detected one, so a config
-  // copied to an older machine degrades instead of crashing on an
-  // illegal instruction.
-  const char* env = std::getenv("TEXTJOIN_KERNELS");
-  if (env != nullptr) {
-    Level want;
-    if (ParseLevel(env, &want) && Usable(want) &&
-        static_cast<int>(want) <= static_cast<int>(level)) {
-      level = want;
-    }
-  }
-  return level;
+#endif
 }
 
 // Resolved once at first use; SetLevelForTest may move it afterwards.
 Level& ActiveSlot() {
-  static Level level = Detect();
+  static Level level = Avx2Usable() ? Level::kAvx2 : Level::kScalar;
   return level;
 }
 
 }  // namespace
 
 const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse42:
-      return "sse42";
-    case Level::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
-}
-
-bool ParseLevel(const std::string& name, Level* out) {
-  if (name == "scalar") {
-    *out = Level::kScalar;
-  } else if (name == "sse42") {
-    *out = Level::kSse42;
-  } else if (name == "avx2") {
-    *out = Level::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 std::vector<Level> AvailableLevels() {
-  std::vector<Level> levels;
-  for (Level l : {Level::kScalar, Level::kSse42, Level::kAvx2}) {
-    if (Usable(l)) levels.push_back(l);
-  }
+  std::vector<Level> levels = {Level::kScalar};
+  if (Avx2Usable()) levels.push_back(Level::kAvx2);
   return levels;
 }
 
 Level ActiveLevel() { return ActiveSlot(); }
 
 const KernelTable& TableFor(Level level) {
-  switch (level) {
 #ifdef TEXTJOIN_HAVE_AVX2
-    case Level::kAvx2:
-      return kAvx2Table;
+  if (level == Level::kAvx2) return kAvx2Table;
 #endif
-#ifdef TEXTJOIN_HAVE_SSE42
-    case Level::kSse42:
-      return kSse42Table;
-#endif
-    default:
-      return kScalarTable;
-  }
+  return kScalarTable;
 }
 
 const KernelTable& Active() { return TableFor(ActiveSlot()); }
 
 bool SetLevelForTest(Level level) {
-  if (!Usable(level)) return false;
+  if (level == Level::kAvx2 && !Avx2Usable()) return false;
   ActiveSlot() = level;
   return true;
 }

@@ -1,7 +1,6 @@
 #ifndef TEXTJOIN_KERNEL_DISPATCH_H_
 #define TEXTJOIN_KERNEL_DISPATCH_H_
 
-#include <string>
 #include <vector>
 
 #include "kernel/kernels.h"
@@ -9,28 +8,23 @@
 namespace textjoin {
 namespace kernel {
 
-// Runtime CPU dispatch for the hot-path kernels. The highest instruction
-// level both compiled in AND reported by the CPU is chosen once, at first
-// use; every later call is a plain indirect call through the resolved
-// KernelTable. The choice can be overridden — downward only — with the
-// TEXTJOIN_KERNELS environment variable ("scalar", "sse42", "avx2") or,
-// for tests that sweep every compiled variant, SetLevelForTest.
+// Runtime CPU dispatch for the hot-path kernels. The level is chosen once,
+// at first use, from what the code observes: AVX2 when it is compiled in
+// AND reported by the CPU, scalar otherwise. Every later call is a plain
+// indirect call through the resolved KernelTable. Tests that sweep every
+// compiled variant move the level with SetLevelForTest.
 enum class Level {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 const char* LevelName(Level level);
-
-// Parses "scalar" / "sse42" / "avx2"; false on anything else.
-bool ParseLevel(const std::string& name, Level* out);
 
 // Levels compiled into this binary AND usable on this CPU, ascending.
 // kScalar is always present.
 std::vector<Level> AvailableLevels();
 
-// The level the dispatcher resolved (after the env override, if any).
+// The level the dispatcher resolved.
 Level ActiveLevel();
 
 // The kernel table of the active level.
@@ -40,8 +34,9 @@ const KernelTable& Active();
 const KernelTable& TableFor(Level level);
 
 // Test hook: force a dispatch level for the rest of the process (bit-
-// identity sweeps run every compiled variant through the same join).
-// Returns false when the level is not available on this CPU/binary.
+// identity sweeps run every compiled variant through the same join, with
+// scalar as the reference). Returns false when the level is not
+// available on this CPU/binary.
 bool SetLevelForTest(Level level);
 
 }  // namespace kernel

@@ -26,12 +26,6 @@ namespace kernel {
 // cross-executor bit-identity (HHNL == HVNL == VVM) has been a tested
 // invariant since PR 1.
 
-// Cursor of the two-pointer term merge between two sorted d-cell arrays.
-struct MergeCursor {
-  int64_t i = 0;  // position in a
-  int64_t j = 0;  // position in b
-};
-
 struct KernelTable {
   const char* name;
 
@@ -67,31 +61,38 @@ struct KernelTable {
   void (*pair_bounds)(const double* cands, int64_t n, double fixed_max,
                       double fixed_sum, double fixed_norm, double fixed_inv,
                       bool fixed_is_a, double* out);
-
-  // Advances the linear term merge of WeightedDot by at most `max_steps`
-  // logical steps (one step = one iteration of the scalar two-pointer
-  // walk), appending matched index pairs in ascending term order. Returns
-  // the steps actually taken; `cur` is updated in place. Every level
-  // shares the portable walk — vectorizing it lost to the predictable
-  // scalar loop in measurement (see MergeLinearPortable in
-  // kernels_common.h) — so merge-step metering (and the early-exit
-  // cadence built on it) is trivially identical at every level. `match_a`
-  // / `match_b` must have room for `max_steps` entries (matches <= steps).
-  int64_t (*merge_linear)(const DCell* a, int64_t na, const DCell* b,
-                          int64_t nb, MergeCursor* cur, int64_t max_steps,
-                          int32_t* match_a, int32_t* match_b,
-                          int64_t* num_matches);
 };
 
-// The per-level tables (defined in kernels_<level>.cc; the SIMD ones only
+// The per-level tables (defined in kernels_<level>.cc; the AVX2 one only
 // when the compiler supports the instruction set).
 extern const KernelTable kScalarTable;
-#ifdef TEXTJOIN_HAVE_SSE42
-extern const KernelTable kSse42Table;
-#endif
 #ifdef TEXTJOIN_HAVE_AVX2
 extern const KernelTable kAvx2Table;
 #endif
+
+// Cursor of the two-pointer term merge between two sorted d-cell arrays.
+struct MergeCursor {
+  int64_t i = 0;  // position in a
+  int64_t j = 0;  // position in b
+};
+
+// Advances the linear term merge of WeightedDot by at most `max_steps`
+// logical steps (one step = one iteration of the paper's two-pointer
+// walk), appending matched index pairs in ascending term order. Returns
+// the steps actually taken; `cur` is updated in place. `match_a` /
+// `match_b` must have room for `max_steps` entries (matches <= steps).
+//
+// One portable loop, not a dispatched kernel: with logical-step metering
+// and match extraction the walk is branch-predictable and load-light,
+// and measured register-compare run skipping (4- and 8-lane leading-less
+// probes, even momentum-gated to fire only on detected runs) lost to it
+// on every workload shape — interleaved and run-heavy alike. Skew is the
+// galloping kernel's job (join/similarity.h), an algorithmic answer a
+// wider register cannot beat.
+int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
+                            int64_t nb, MergeCursor* cur, int64_t max_steps,
+                            int32_t* match_a, int32_t* match_b,
+                            int64_t* num_matches);
 
 }  // namespace kernel
 }  // namespace textjoin

@@ -1,6 +1,13 @@
-// AVX2 kernel variants (see kernels_sse42.cc for the bit-identity
-// discipline; the same rules apply, with twice the lanes). Compiled with
-// -mavx2 only when the compiler accepts it; dispatch.cc checks the CPU.
+// AVX2 kernel variants. This translation unit is compiled with -mavx2
+// (see src/kernel/CMakeLists.txt) and only when the compiler accepts the
+// flag; runtime CPU detection in dispatch.cc decides whether the table is
+// ever used. Everything here must be bit-identical to the scalar table:
+// the vector loops only batch work whose per-element result is exact
+// (byte shuffles, integer compares, independent IEEE multiplies) and
+// leave every order-sensitive reduction to the same sequential code the
+// scalar table runs. The decoder must also fail closed exactly like the
+// scalar one: it accepts the same blocks and rejects the rest as
+// kDataLoss, with every load bounded by the block end (see GvDecodeAvx2).
 
 #ifdef TEXTJOIN_HAVE_AVX2
 
@@ -162,13 +169,8 @@ void PairBoundsAvx2(const double* cands, int64_t n, double fixed_max,
 
 }  // namespace
 
-// The merge stays the shared portable walk at this level too — see the
-// MergeLinearPortable comment in kernels_common.h for the measurements
-// behind that decision.
-const KernelTable kAvx2Table = {
-    "avx2", GvDecodeAvx2, ScaleCellsAvx2, PairBoundsAvx2,
-    internal::MergeLinearPortable,
-};
+const KernelTable kAvx2Table = {"avx2", GvDecodeAvx2, ScaleCellsAvx2,
+                                PairBoundsAvx2};
 
 }  // namespace kernel
 }  // namespace textjoin

@@ -126,51 +126,6 @@ inline void PairBoundsScalarImpl(const double* cands, int64_t n,
   }
 }
 
-// The paper's two-pointer walk with a step budget: one logical step per
-// loop iteration, matches appended as index pairs in ascending term order.
-inline int64_t MergeLinearScalarImpl(const DCell* a, int64_t na,
-                                     const DCell* b, int64_t nb,
-                                     MergeCursor* cur, int64_t max_steps,
-                                     int32_t* match_a, int32_t* match_b,
-                                     int64_t* num_matches) {
-  int64_t i = cur->i;
-  int64_t j = cur->j;
-  int64_t steps = 0;
-  int64_t m = 0;
-  while (steps < max_steps && i < na && j < nb) {
-    ++steps;
-    if (a[i].term < b[j].term) {
-      ++i;
-    } else if (a[i].term > b[j].term) {
-      ++j;
-    } else {
-      match_a[m] = static_cast<int32_t>(i);
-      match_b[m] = static_cast<int32_t>(j);
-      ++m;
-      ++i;
-      ++j;
-    }
-  }
-  cur->i = i;
-  cur->j = j;
-  *num_matches = m;
-  return steps;
-}
-
-// The merge entry every dispatch level shares, defined in
-// kernels_scalar.cc (a plain call to MergeLinearScalarImpl). The merge is
-// deliberately NOT vectorized: with logical-step metering and match
-// extraction the two-pointer walk is branch-predictable and load-light,
-// and measured register-compare run skipping (4- and 8-lane leading-less
-// probes, even momentum-gated to fire only on detected runs) lost to it
-// on every workload shape — interleaved and run-heavy alike. Skew is the
-// galloping kernel's job (join/similarity.h), an algorithmic answer a
-// wider register cannot beat.
-int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
-                            int64_t nb, MergeCursor* cur, int64_t max_steps,
-                            int32_t* match_a, int32_t* match_b,
-                            int64_t* num_matches);
-
 }  // namespace internal
 }  // namespace kernel
 }  // namespace textjoin

@@ -2,50 +2,44 @@
 #include "kernel/kernels_common.h"
 
 // The portable baseline table: compiled for the project's default
-// architecture with no SIMD assumptions. Every other dispatch level must
-// be bit-identical to this one (tests/kernel_test.cc sweeps the levels).
+// architecture with no SIMD assumptions. The AVX2 level must be
+// bit-identical to this one (tests/kernel_test.cc sweeps the levels). The
+// portable term merge shared by every caller is defined here too.
 
 namespace textjoin {
 namespace kernel {
-
-namespace {
-
-Status GvDecodeScalar(const uint8_t* bytes, int64_t byte_length, int64_t count,
-                      ICell* out, int64_t* consumed) {
-  return internal::GvDecodeScalarImpl(bytes, byte_length, count, out,
-                                      consumed);
-}
-
-void ScaleCellsScalar(const ICell* cells, int64_t n, double w2, double factor,
-                      double* out) {
-  internal::ScaleCellsScalarImpl(cells, n, w2, factor, out);
-}
-
-void PairBoundsScalar(const double* cands, int64_t n, double fixed_max,
-                      double fixed_sum, double fixed_norm, double fixed_inv,
-                      bool fixed_is_a, double* out) {
-  internal::PairBoundsScalarImpl(cands, n, fixed_max, fixed_sum, fixed_norm,
-                                 fixed_inv, fixed_is_a, out);
-}
-
-}  // namespace
-
-namespace internal {
 
 int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
                             int64_t nb, MergeCursor* cur, int64_t max_steps,
                             int32_t* match_a, int32_t* match_b,
                             int64_t* num_matches) {
-  return MergeLinearScalarImpl(a, na, b, nb, cur, max_steps, match_a, match_b,
-                               num_matches);
+  int64_t i = cur->i;
+  int64_t j = cur->j;
+  int64_t steps = 0;
+  int64_t m = 0;
+  while (steps < max_steps && i < na && j < nb) {
+    ++steps;
+    if (a[i].term < b[j].term) {
+      ++i;
+    } else if (a[i].term > b[j].term) {
+      ++j;
+    } else {
+      match_a[m] = static_cast<int32_t>(i);
+      match_b[m] = static_cast<int32_t>(j);
+      ++m;
+      ++i;
+      ++j;
+    }
+  }
+  cur->i = i;
+  cur->j = j;
+  *num_matches = m;
+  return steps;
 }
 
-}  // namespace internal
-
-const KernelTable kScalarTable = {
-    "scalar", GvDecodeScalar, ScaleCellsScalar, PairBoundsScalar,
-    internal::MergeLinearPortable,
-};
+const KernelTable kScalarTable = {"scalar", internal::GvDecodeScalarImpl,
+                                  internal::ScaleCellsScalarImpl,
+                                  internal::PairBoundsScalarImpl};
 
 }  // namespace kernel
 }  // namespace textjoin

@@ -59,7 +59,42 @@ void AppendCounters(const PhaseStats& phase, std::string* out) {
   *out += "\n";
 }
 
+// The calibrated per-cell decode rate of a posting format.
+double DecodeNsPerCell(const kernel::CalibratedCosts& cal,
+                       PostingCompression format) {
+  switch (format) {
+    case PostingCompression::kNone:
+      return cal.ns_per_cell_fixed;
+    case PostingCompression::kDeltaVarint:
+      return cal.ns_per_cell_varint;
+    case PostingCompression::kGroupVarint:
+      return cal.ns_per_cell_gv;
+  }
+  return cal.ns_per_cell_varint;
+}
+
+// The CLI's --compression spelling of a posting format.
+const char* FormatName(PostingCompression format) {
+  switch (format) {
+    case PostingCompression::kNone:
+      return "none";
+    case PostingCompression::kDeltaVarint:
+      return "varint";
+    case PostingCompression::kGroupVarint:
+      return "group-varint";
+  }
+  return "none";
+}
+
 }  // namespace
+
+double CalibratedCpuNs(const CpuStats& cpu, PostingCompression format) {
+  const kernel::CalibratedCosts& cal = kernel::Calibrated();
+  return static_cast<double>(cpu.cell_compares) * cal.ns_per_merge_step +
+         static_cast<double>(cpu.accumulations) * cal.ns_per_accumulation +
+         static_cast<double>(cpu.cells_decoded) *
+             DecodeNsPerCell(cal, format);
+}
 
 std::string PlanAlgorithmLabel(Algorithm algorithm, bool hhnl_backward) {
   std::string label = AlgorithmName(algorithm);
@@ -239,19 +274,16 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
     // Calibrated constants vary per machine and build, so this line is
     // gated with the other wall-clock output the golden tests exclude.
     const kernel::CalibratedCosts& cal = kernel::Calibrated();
-    const CpuStats& c = stats.root.cpu;
-    const double est_ns =
-        static_cast<double>(c.cell_compares) * cal.ns_per_merge_step +
-        static_cast<double>(c.accumulations) * cal.ns_per_accumulation +
-        static_cast<double>(c.cells_decoded) * cal.ns_per_cell_varint;
+    const PostingCompression format = plan.inner_compression;
     char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "calibrated: merge=%.2fns/step accum=%.2fns "
-                  "decode=%.2f/%.2fns/cell (varint/gv, %s kernels); "
+                  "decode=%.2fns/cell (%s, %s kernels); "
                   "est. cpu wall %.3fms\n",
                   cal.ns_per_merge_step, cal.ns_per_accumulation,
-                  cal.ns_per_cell_varint, cal.ns_per_cell_gv,
-                  kernel::Active().name, est_ns * 1e-6);
+                  DecodeNsPerCell(cal, format), FormatName(format),
+                  kernel::Active().name,
+                  CalibratedCpuNs(stats.root.cpu, format) * 1e-6);
     out += buf;
   }
   if (stats.root.cpu.any_pruning()) {

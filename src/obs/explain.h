@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cost/cost_model.h"
+#include "index/inverted_file.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
@@ -26,6 +27,9 @@ struct ExplainPlan {
   CostComparison costs;            // predicted totals, all three algorithms
   AlgorithmCost hhnl_backward_cost;  // predicted total of the backward order
   CostInputs inputs;               // what the predictions were computed from
+  // Posting format of the inner inverted file: the calibrated CPU line
+  // charges decoded cells at this format's rate.
+  PostingCompression inner_compression = PostingCompression::kNone;
   std::string explanation;         // planner's reasoning, one line per fact
   // Degradation steps that led to `algorithm`, oldest first; empty when
   // the first choice ran to completion.
@@ -51,6 +55,11 @@ struct ExplainOptions {
 std::string RenderExplainAnalyze(const ExplainPlan& plan,
                                  const QueryStats& stats,
                                  const ExplainOptions& options = {});
+
+// Wall time, in ns, the counted work of `cpu` costs at this host's
+// calibrated rates (kernel/calibrate.h): merge steps, accumulations, and
+// decoded cells at the decode rate of `format`.
+double CalibratedCpuNs(const CpuStats& cpu, PostingCompression format);
 
 // The AlgorithmName plus the backward marker, e.g. "HHNL backward".
 std::string PlanAlgorithmLabel(Algorithm algorithm, bool hhnl_backward);

@@ -19,6 +19,7 @@ ExplainPlan PlanChoice::ToExplainPlan() const {
   if (hhnl_backward) plan.costs.hhnl = HhnlCost(inputs);  // forward order
   plan.hhnl_backward_cost = hhnl_backward_cost;
   plan.inputs = inputs;
+  plan.inner_compression = inner_compression;
   plan.explanation = explanation;
   plan.fallbacks = fallbacks;
   return plan;
@@ -44,7 +45,6 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
   }
   // CPU-model pruning knobs: the predicted CPU cost discounts the work the
   // executor's top-lambda bounds are expected to skip.
-  in.adaptive_merge = spec.pruning.adaptive_merge;
   in.block_skip = spec.pruning.block_skip;
   if (spec.pruning.bound_skip || spec.pruning.early_exit) {
     in.pruning_rate = ExpectedPruningRate(in);
@@ -52,6 +52,9 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
 
   PlanChoice choice;
   choice.inputs = in;
+  if (ctx.inner_index != nullptr) {
+    choice.inner_compression = ctx.inner_index->compression();
+  }
   choice.costs = CompareCosts(in);
   if (options_.consider_backward_hhnl && spec.inner_subset.empty()) {
     choice.hhnl_backward_cost = HhnlBackwardCost(in);

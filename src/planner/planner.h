@@ -22,6 +22,9 @@ struct PlanChoice {
   CostComparison costs;
   AlgorithmCost hhnl_backward_cost;
   CostInputs inputs;
+  // Posting format of the inner inverted file (kNone when there is none);
+  // EXPLAIN ANALYZE prices decoded cells at its calibrated rate.
+  PostingCompression inner_compression = PostingCompression::kNone;
   std::string explanation;
   // Run-time degradation history (see Options::allow_fallback): every
   // algorithm that failed with an I/O error before `algorithm` succeeded.

@@ -76,7 +76,6 @@ std::string ServeQueryCacheKey(const std::string& collection, int64_t epoch,
       .AddBool(sim.use_idf)
       .AddBool(pruning.bound_skip)
       .AddBool(pruning.early_exit)
-      .AddBool(pruning.adaptive_merge)
       .AddBool(pruning.block_skip);
   return b.Take();
 }
@@ -95,7 +94,6 @@ std::string JoinCacheKey(const std::string& inner, int64_t inner_epoch,
       .AddBool(spec.similarity.use_idf)
       .AddBool(spec.pruning.bound_skip)
       .AddBool(spec.pruning.early_exit)
-      .AddBool(spec.pruning.adaptive_merge)
       .AddBool(spec.pruning.block_skip)
       .AddDocs(spec.outer_subset)
       .AddDocs(spec.inner_subset);

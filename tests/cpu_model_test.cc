@@ -235,7 +235,6 @@ TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
   in.q = 0.8;
   const CpuEstimate base = HhnlCpuCost(in);
   in.pruning_rate = ExpectedPruningRate(in);
-  in.adaptive_merge = true;
   const CpuEstimate pruned = HhnlCpuCost(in);
   EXPECT_LT(pruned.cell_compares, base.cell_compares);
   EXPECT_LT(pruned.accumulations, base.accumulations);

@@ -6,6 +6,7 @@
 // seeded, the disk is simulated and the CPU counters are exact.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "storage/disk_manager.h"
@@ -14,6 +15,7 @@
 #include "join/hhnl.h"
 #include "join/hvnl.h"
 #include "join/vvm.h"
+#include "kernel/calibrate.h"
 #include "obs/explain.h"
 #include "obs/query_stats.h"
 #include "planner/planner.h"
@@ -47,7 +49,6 @@ CostInputs InputsFor(const JoinFixture& f, const JoinContext& ctx,
   in.q = MeasuredTermOverlap(f.outer, f.inner);
   // Mirror JoinPlanner::Plan: the default JoinSpec has pruning enabled, so
   // the report carries the pruning counters and the predicted-CPU line.
-  in.adaptive_merge = spec.pruning.adaptive_merge;
   if (spec.pruning.bound_skip || spec.pruning.early_exit) {
     in.pruning_rate = ExpectedPruningRate(in);
   }
@@ -249,6 +250,60 @@ TEST(ExplainAnalyzeTest, WallTimeOptionControlsWallLine) {
   ASSERT_TRUE(quiet.ok());
   EXPECT_EQ(quiet->report.find("wall:"), std::string::npos);
   EXPECT_EQ(quiet->report.find("calibrated:"), std::string::npos);
+}
+
+// The calibrated line charges each decoded cell at the rate of the inner
+// index's posting format. HVNL decodes inner entries, so its counted
+// cells are priced by format: the estimate must equal the counts times
+// the matching calibrated rates, and the plan must carry the format the
+// planner read off the index.
+TEST(ExplainAnalyzeTest, CalibratedLineChargesTheInnerPostingFormat) {
+  const kernel::CalibratedCosts& cal = kernel::Calibrated();
+  struct Case {
+    PostingCompression format;
+    const char* name;
+    double ns_per_cell;
+  };
+  for (const Case& c :
+       {Case{PostingCompression::kNone, "none", cal.ns_per_cell_fixed},
+        Case{PostingCompression::kGroupVarint, "group-varint",
+             cal.ns_per_cell_gv}}) {
+    SimulatedDisk disk(256);
+    auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 5, 40, 11),
+                         RandomCollection(&disk, "c2", 20, 4, 40, 12),
+                         SimilarityConfig{}, c.format);
+    JoinContext ctx = f->Context(kBufferPages);
+    JoinSpec spec;
+    spec.lambda = 3;
+    auto choice = JoinPlanner().Plan(ctx, spec);
+    ASSERT_TRUE(choice.ok());
+    ExplainPlan plan = choice->ToExplainPlan();
+    EXPECT_EQ(plan.inner_compression, c.format) << c.name;
+    plan.algorithm = Algorithm::kHvnl;
+
+    QueryStatsCollector collector(&disk);
+    ctx.stats = &collector;
+    HvnlJoin hvnl;
+    ASSERT_TRUE(hvnl.Run(ctx, spec).ok());
+    const QueryStats stats = collector.Finish();
+    const CpuStats& cpu = stats.root.cpu;
+    ASSERT_GT(cpu.cells_decoded, 0) << c.name;
+
+    const double expected_ns =
+        static_cast<double>(cpu.cell_compares) * cal.ns_per_merge_step +
+        static_cast<double>(cpu.accumulations) * cal.ns_per_accumulation +
+        static_cast<double>(cpu.cells_decoded) * c.ns_per_cell;
+    EXPECT_EQ(CalibratedCpuNs(cpu, c.format), expected_ns) << c.name;
+
+    const std::string report = RenderExplainAnalyze(plan, stats);
+    char want[160];
+    std::snprintf(want, sizeof(want), "decode=%.2fns/cell (%s,",
+                  c.ns_per_cell, c.name);
+    EXPECT_NE(report.find(want), std::string::npos) << want << "\n" << report;
+    std::snprintf(want, sizeof(want), "est. cpu wall %.3fms",
+                  expected_ns * 1e-6);
+    EXPECT_NE(report.find(want), std::string::npos) << want << "\n" << report;
+  }
 }
 
 }  // namespace

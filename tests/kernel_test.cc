@@ -52,24 +52,27 @@ TEST(DispatchTest, ScalarAlwaysAvailableAndLevelsAscend) {
   EXPECT_STREQ(kernel::Active().name, kernel::LevelName(active));
 }
 
-TEST(DispatchTest, ParseLevelAcceptsExactlyTheThreeNames) {
-  kernel::Level l;
-  EXPECT_TRUE(kernel::ParseLevel("scalar", &l));
-  EXPECT_EQ(l, kernel::Level::kScalar);
-  EXPECT_TRUE(kernel::ParseLevel("sse42", &l));
-  EXPECT_EQ(l, kernel::Level::kSse42);
-  EXPECT_TRUE(kernel::ParseLevel("avx2", &l));
-  EXPECT_EQ(l, kernel::Level::kAvx2);
-  for (const char* bad : {"", "SSE42", "avx512", "auto", "scalar "}) {
-    EXPECT_FALSE(kernel::ParseLevel(bad, &l)) << bad;
+// The level comes only from what the code observes: AVX2 whenever it is
+// compiled in and the CPU reports it, scalar otherwise.
+TEST(DispatchTest, DetectionPicksAvx2ExactlyWhenCompiledInAndSupported) {
+  for (kernel::Level l : kernel::AvailableLevels()) {
+    EXPECT_TRUE(l == kernel::Level::kScalar || l == kernel::Level::kAvx2)
+        << kernel::LevelName(l);
   }
+#ifdef TEXTJOIN_HAVE_AVX2
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_EQ(kernel::AvailableLevels().size(), avx2 ? 2u : 1u);
+  EXPECT_EQ(kernel::ActiveLevel(),
+            avx2 ? kernel::Level::kAvx2 : kernel::Level::kScalar);
 }
 
 TEST(DispatchTest, SetLevelForTestRejectsUnavailableAndSwitches) {
   const auto levels = kernel::AvailableLevels();
   const kernel::Level original = kernel::ActiveLevel();
-  for (kernel::Level l :
-       {kernel::Level::kScalar, kernel::Level::kSse42, kernel::Level::kAvx2}) {
+  for (kernel::Level l : {kernel::Level::kScalar, kernel::Level::kAvx2}) {
     const bool available =
         std::find(levels.begin(), levels.end(), l) != levels.end();
     EXPECT_EQ(kernel::SetLevelForTest(l), available);
@@ -253,6 +256,9 @@ TEST(KernelIdentityTest, ScaleCellsMatchesScalarBitForBit) {
       std::vector<double> out(static_cast<size_t>(n), -2.0);
       kernel::TableFor(level).scale_cells(cells.data(), n, w2, factor,
                                           out.data());
+      // n == 0 has no bytes to compare, and memcmp must not see the
+      // empty vectors' null data() pointers.
+      if (n == 0) continue;
       ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
           << kernel::LevelName(level) << " n " << n;
     }
@@ -275,67 +281,9 @@ TEST(KernelIdentityTest, PairBoundsMatchesScalarBitForBit) {
         std::vector<double> out(static_cast<size_t>(n), -2.0);
         kernel::TableFor(level).pair_bounds(cands.data(), n, fm, fs, fn, fi,
                                             fixed_is_a, out.data());
+        if (n == 0) continue;  // no bytes; see ScaleCellsMatchesScalarBitForBit
         ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
             << kernel::LevelName(level) << " n " << n;
-      }
-    }
-  }
-}
-
-TEST(KernelIdentityTest, MergeLinearStepMeteringIdenticalAcrossLevels) {
-  Rng rng(707 + SeedOffset());
-  auto make_list = [&](int64_t n, uint32_t stride) {
-    std::vector<DCell> cells;
-    uint32_t t = static_cast<uint32_t>(rng.NextBounded(5));
-    for (int64_t i = 0; i < n; ++i) {
-      cells.push_back(DCell{t, static_cast<Weight>(1 + (i % 7))});
-      t += 1 + rng.NextBounded(stride);
-    }
-    return cells;
-  };
-  struct Shape {
-    int64_t na;
-    int64_t nb;
-    uint32_t stride;
-  };
-  for (const Shape shape : {Shape{40, 37, 2}, Shape{200, 5, 30},
-                            Shape{64, 64, 1}}) {
-    const int64_t na = shape.na;
-    const int64_t nb = shape.nb;
-    const auto a = make_list(na, shape.stride);
-    const auto b = make_list(nb, 2);
-    for (int64_t max_steps : {int64_t{1}, int64_t{7}, na + nb}) {
-      kernel::MergeCursor ref_cur;
-      std::vector<int32_t> ref_a(static_cast<size_t>(max_steps));
-      std::vector<int32_t> ref_b(static_cast<size_t>(max_steps));
-      int64_t ref_m = 0;
-      int64_t ref_steps = 0;
-      while (ref_cur.i < na && ref_cur.j < nb) {
-        int64_t m = 0;
-        ref_steps += kernel::kScalarTable.merge_linear(
-            a.data(), na, b.data(), nb, &ref_cur, max_steps, ref_a.data(),
-            ref_b.data(), &m);
-        ref_m += m;
-      }
-      for (kernel::Level level : kernel::AvailableLevels()) {
-        kernel::MergeCursor cur;
-        std::vector<int32_t> ma(static_cast<size_t>(max_steps));
-        std::vector<int32_t> mb(static_cast<size_t>(max_steps));
-        int64_t total_m = 0;
-        int64_t total_steps = 0;
-        while (cur.i < na && cur.j < nb) {
-          int64_t m = 0;
-          const int64_t steps = kernel::TableFor(level).merge_linear(
-              a.data(), na, b.data(), nb, &cur, max_steps, ma.data(),
-              mb.data(), &m);
-          ASSERT_LE(m, steps);
-          total_steps += steps;
-          total_m += m;
-        }
-        EXPECT_EQ(total_steps, ref_steps) << kernel::LevelName(level);
-        EXPECT_EQ(total_m, ref_m) << kernel::LevelName(level);
-        EXPECT_EQ(cur.i, ref_cur.i);
-        EXPECT_EQ(cur.j, ref_cur.j);
       }
     }
   }

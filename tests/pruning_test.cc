@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "storage/disk_manager.h"
@@ -22,7 +23,7 @@ using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
 // Exactness is the pruning layer's hard contract: with any combination of
-// bound skipping, early exit and adaptive merge kernels, every executor
+// bound skipping, early exit and block skipping, every executor
 // must return BIT-identical results — scores compared with ==, including
 // tie-breaking at the heap boundary — to the unpruned run and to the
 // brute-force reference. The sweep below drives that contract across the
@@ -111,9 +112,10 @@ TEST(PruningSweepTest, PrunedRunsAreBitIdentical) {
   }
 }
 
-// Skewed document lengths: one side's documents are an order of magnitude
-// longer, so the adaptive kernel gallops. The pruned HHNL run must both
-// agree bit-identically and spend measurably fewer merge steps.
+// Skewed document lengths: 120-cell documents against 4-cell ones, far
+// beyond the 16x switch ratio, so WeightedDotKernel gallops. Every pair
+// must agree bit for bit with the linear walk, and galloping must cut the
+// merge cost by well over half.
 TEST(PruningSweepTest, GallopingMergeSavesStepsOnSkewedLengths) {
   const uint64_t seed = SeedOffset() * 1000 + 5;
   SimulatedDisk disk(256);
@@ -121,34 +123,22 @@ TEST(PruningSweepTest, GallopingMergeSavesStepsOnSkewedLengths) {
   auto outer = RandomCollection(&disk, "c2", 25, 4, 400, seed + 3);  // short
   auto f = MakeFixture(&disk, std::move(inner), std::move(outer));
 
-  JoinSpec spec;
-  spec.lambda = 3;
-  const JoinResult expected =
-      BruteForceJoin(f->inner, f->outer, f->simctx, spec);
-
-  auto run = [&](const PruningConfig& pruning) {
-    QueryStatsCollector collector(&disk);
-    JoinContext ctx = f->Context(200);
-    ctx.stats = &collector;
-    JoinSpec s = spec;
-    s.pruning = pruning;
-    HhnlJoin join;
-    auto r = join.Run(ctx, s);
-    TEXTJOIN_CHECK_OK(r.status());
-    return std::make_pair(*r, collector.Finish().root.cpu);
-  };
-
-  PruningConfig gallop_only = PruningConfig::Disabled();
-  gallop_only.adaptive_merge = true;
-  auto [gallop_result, gallop_cpu] = run(gallop_only);
-  auto [plain_result, plain_cpu] = run(PruningConfig::Disabled());
-
-  EXPECT_EQ(gallop_result, plain_result);
-  EXPECT_EQ(gallop_result, expected);
-  // 120-vs-4 cells is far beyond the 16x switch ratio: galloping should
-  // cut the per-pair merge cost by well over half.
-  EXPECT_LT(gallop_cpu.cell_compares, plain_cpu.cell_compares / 2);
-  EXPECT_EQ(gallop_cpu.accumulations, plain_cpu.accumulations);
+  int64_t gallop_steps = 0;
+  int64_t linear_steps = 0;
+  for (DocId a = 0; a < 12; ++a) {
+    for (DocId b = 0; b < 25; ++b) {
+      auto d1 = f->inner.ReadDocument(a);
+      auto d2 = f->outer.ReadDocument(b);
+      ASSERT_TRUE(d1.ok() && d2.ok());
+      const DotDetail gal = WeightedDotKernel(*d1, *d2, f->simctx);
+      const DotDetail lin = WeightedDotDetailed(*d1, *d2, f->simctx);
+      EXPECT_EQ(gal.acc, lin.acc) << "pair " << a << "," << b;
+      EXPECT_EQ(gal.common_terms, lin.common_terms);
+      gallop_steps += gal.merge_steps;
+      linear_steps += lin.merge_steps;
+    }
+  }
+  EXPECT_LT(gallop_steps, linear_steps / 2);
 }
 
 TEST(PruningSweepTest, BoundSkipPrunesPairsOnSpreadScores) {
@@ -252,27 +242,82 @@ TEST(PruningPrimitivesTest, GallopLowerBoundMatchesStdLowerBound) {
   }
 }
 
+// Merge steps of the galloping walk from the shorter document: one step
+// per short cell plus every search probe — the reference count for
+// WeightedDotKernel at or above kGallopSizeRatio.
+int64_t GallopingSteps(const Document& d1, const Document& d2) {
+  const bool d1_short = d1.cells().size() <= d2.cells().size();
+  const auto& s = d1_short ? d1.cells() : d2.cells();
+  const auto& l = d1_short ? d2.cells() : d1.cells();
+  int64_t steps = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < s.size() && j < l.size(); ++i) {
+    ++steps;
+    j = GallopLowerBound(l, j, s[i].term, &steps);
+    if (j < l.size() && l[j].term == s[i].term) ++j;
+  }
+  return steps;
+}
+
+// WeightedDotKernel picks its intersection by length ratio alone; either
+// arm must reproduce WeightedDotDetailed's acc and common_terms bit for
+// bit. Below the ratio it IS the linear walk (equal merge_steps); at and
+// above it the step count is the galloping walk's.
 TEST(PruningPrimitivesTest, KernelsAreBitIdentical) {
   SimulatedDisk disk(256);
   auto c1 = RandomCollection(&disk, "c1", 10, 40, 120, 31);
   auto c2 = RandomCollection(&disk, "c2", 10, 5, 120, 32);
   auto f = MakeFixture(&disk, std::move(c1), std::move(c2));
+  auto expect_identical = [&](const Document& d1, const Document& d2,
+                              const std::string& what) {
+    const DotDetail lin = WeightedDotDetailed(d1, d2, f->simctx);
+    for (const bool swap : {false, true}) {
+      const DotDetail k = swap ? WeightedDotKernel(d2, d1, f->simctx)
+                               : WeightedDotKernel(d1, d2, f->simctx);
+      EXPECT_EQ(k.acc, lin.acc) << what;  // bit-identical, not just close
+      EXPECT_EQ(k.common_terms, lin.common_terms) << what;
+      if (UseGalloping(d1.cells().size(), d2.cells().size())) {
+        EXPECT_EQ(k.merge_steps, GallopingSteps(d1, d2)) << what;
+      } else {
+        EXPECT_EQ(k.merge_steps, lin.merge_steps) << what;
+      }
+    }
+  };
+
+  // 40-vs-5 cells: below the switch ratio, so every pair merges linearly.
   for (DocId a = 0; a < 10; ++a) {
     for (DocId b = 0; b < 10; ++b) {
       auto d1 = f->inner.ReadDocument(a);
       auto d2 = f->outer.ReadDocument(b);
       ASSERT_TRUE(d1.ok() && d2.ok());
-      const DotDetail lin =
-          WeightedDotKernel(*d1, *d2, f->simctx, MergeKernel::kLinear);
-      const DotDetail gal =
-          WeightedDotKernel(*d1, *d2, f->simctx, MergeKernel::kGalloping);
-      const DotDetail ada =
-          WeightedDotKernel(*d1, *d2, f->simctx, MergeKernel::kAdaptive);
-      EXPECT_EQ(lin.acc, gal.acc);  // bit-identical, not just close
-      EXPECT_EQ(lin.acc, ada.acc);
-      EXPECT_EQ(lin.common_terms, gal.common_terms);
-      EXPECT_EQ(lin.common_terms, ada.common_terms);
+      ASSERT_FALSE(UseGalloping(d1->cells().size(), d2->cells().size()));
+      expect_identical(*d1, *d2, "random pair");
     }
+  }
+
+  // Length ratios around the switch: a 6-cell document against long
+  // documents of even terms; the short side alternates between present
+  // (even) and absent (odd) terms so both match and miss paths run.
+  const int64_t short_len = 6;
+  for (const int64_t ratio : {int64_t{15}, kGallopSizeRatio, int64_t{17},
+                              int64_t{40}}) {
+    const int64_t long_len = short_len * ratio;
+    std::vector<DCell> long_cells, short_cells;
+    for (int64_t k = 0; k < long_len; ++k) {
+      long_cells.push_back(DCell{static_cast<TermId>(2 * k),
+                                 static_cast<Weight>(1 + k % 7)});
+    }
+    for (int64_t i = 0; i < short_len; ++i) {
+      const int64_t term = 2 * (i * long_len / short_len) + i % 2;
+      short_cells.push_back(
+          DCell{static_cast<TermId>(term), static_cast<Weight>(2 + i % 5)});
+    }
+    const Document lng = Document::FromSortedCells(long_cells);
+    const Document shrt = Document::FromSortedCells(short_cells);
+    EXPECT_EQ(UseGalloping(short_cells.size(), long_cells.size()),
+              ratio >= kGallopSizeRatio);
+    expect_identical(shrt, lng, "ratio " + std::to_string(ratio));
+    expect_identical(lng, shrt, "ratio " + std::to_string(ratio));
   }
 }
 
@@ -372,15 +417,13 @@ TEST(PruningPrimitivesTest, EarlyExitStopsOnlyProvableLosers) {
 
   TopKAccumulator accepting(2);  // empty: nothing can be pruned
   PrunedDotResult r =
-      WeightedDotPruned(*d1, *d2, *simctx, s1, s2, 1.0, 0, accepting,
-                        MergeKernel::kLinear);
+      WeightedDotPruned(*d1, *d2, *simctx, s1, s2, 1.0, 0, accepting);
   EXPECT_FALSE(r.pruned);
   EXPECT_EQ(r.detail.acc, exact);
 
   TopKAccumulator rejecting(1);
   rejecting.Add(5, 1e12);  // unbeatable threshold
-  r = WeightedDotPruned(*d1, *d2, *simctx, s1, s2, 1.0, 0, rejecting,
-                        MergeKernel::kLinear);
+  r = WeightedDotPruned(*d1, *d2, *simctx, s1, s2, 1.0, 0, rejecting);
   EXPECT_TRUE(r.pruned);
   EXPECT_GT(r.bound_checks, 0);
 }

@@ -135,13 +135,17 @@ struct JoinFixture {
   }
 };
 
-inline std::unique_ptr<JoinFixture> MakeFixture(Disk* disk,
-                                                DocumentCollection inner,
-                                                DocumentCollection outer,
-                                                SimilarityConfig config = {}) {
-  auto inner_index = InvertedFile::Build(disk, inner.name() + ".inv", inner);
+inline std::unique_ptr<JoinFixture> MakeFixture(
+    Disk* disk, DocumentCollection inner, DocumentCollection outer,
+    SimilarityConfig config = {},
+    PostingCompression compression = PostingCompression::kNone) {
+  InvertedFile::BuildOptions opts;
+  opts.compression = compression;
+  auto inner_index =
+      InvertedFile::Build(disk, inner.name() + ".inv", inner, opts);
   TEXTJOIN_CHECK_OK(inner_index.status());
-  auto outer_index = InvertedFile::Build(disk, outer.name() + ".inv", outer);
+  auto outer_index =
+      InvertedFile::Build(disk, outer.name() + ".inv", outer, opts);
   TEXTJOIN_CHECK_OK(outer_index.status());
   auto f = std::make_unique<JoinFixture>(
       disk, std::move(inner), std::move(outer),
