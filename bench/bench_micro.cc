@@ -209,9 +209,9 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
 
-// The steady-state block-decode path must not allocate: PostingCursor
-// sizes its cell buffer once per entry and DecodePostingBlockInto fills
-// caller-owned storage, so per-block decode work is pure compute. The
+// The steady-state block-decode path must not allocate: the caller sizes
+// its cell buffer once and DecodePostingBlockInto fills that caller-owned
+// storage, so per-block decode work is pure compute. The
 // replaced global operator new (bottom of this file) counts every heap
 // allocation in the process; allocs_per_iter over 64 decoded blocks must
 // read 0.000 for both representations.

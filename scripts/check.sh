@@ -10,8 +10,10 @@
 #                               a different deterministic fault universe
 #   scripts/check.sh stress     seed-sweepable suites (`ctest -L stress`)
 #                               under three seed offsets: randomized
-#                               cancellation points plus the pruning
-#                               bit-identity sweep
+#                               cancellation points plus every executor
+#                               checked bit for bit against brute force
+#                               (HHNL pruning, posting formats, multi-pass
+#                               VVM)
 #   scripts/check.sh recovery   crash-safety suite (`ctest -L recovery`)
 #                               under three seed offsets: a crash injected
 #                               after every WAL append and at every

@@ -49,16 +49,11 @@ struct CostInputs {
   // and scanned sequentially (Groups 1, 2, 4, 5).
   bool outer_reads_random = false;
 
-  // CPU-model pruning knob (cost/cpu_model.h): the expected fraction of
-  // candidate pairs the executor's top-lambda bounds skip. Defaults to
-  // "off" so the I/O formulas and the unpruned CPU estimates are
-  // unchanged; the planner fills it from JoinSpec::pruning.
+  // CPU-model pruning input (cost/cpu_model.h): the expected fraction of
+  // candidate pairs HHNL's top-lambda bounds skip. The I/O formulas never
+  // read it; 0 gives the unpruned CPU estimate. The planner fills it from
+  // ExpectedPruningRate.
   double pruning_rate = 0.0;
-  // Block-max traversal (PruningConfig::block_skip): per-block maxima let
-  // the executors skip whole 64-cell posting blocks (decode discount for
-  // HVNL/VVM) and gallop over block summaries (merge discount for HHNL).
-  // Only effective alongside the knob it refines, mirroring the executors.
-  bool block_skip = false;
 };
 
 // Cost of one algorithm under the two device models.

@@ -24,9 +24,9 @@ struct CpuEstimate {
   double accumulations = 0;
   double heap_offers = 0;
   double cells_decoded = 0;
-  // Pruning extension (join/pruning.h): bound evaluations the executor
-  // performs (counted work), and pairs/candidates it expects to skip
-  // (avoided work — informational, not part of Total()).
+  // HHNL pruning (join/pruning.h): bound evaluations the executor performs
+  // (counted work), and pairs it expects to skip (avoided work —
+  // informational, not part of Total()).
   double bound_checks = 0;
   double pairs_pruned = 0;
 
@@ -44,15 +44,11 @@ struct CpuEstimate {
 double ExpectedPruningRate(const CostInputs& in);
 
 // HHNL's per-pair merge cost is capped by the galloping probe count on
-// skewed document lengths (the executors gallop at kGallopSizeRatio
-// whatever the PruningConfig). When in.pruning_rate > 0 (the planner sets
-// it from the query's PruningConfig via ExpectedPruningRate) the
-// estimates discount the merge, accumulation and heap work by the
-// expected pruning rate and charge the bound checks instead.
-// in.block_skip refines both: block-summary galloping halves HHNL's probe
-// count, and block-granular decode discounts the pruned share of HVNL's
-// fetched cells and VVM's C1 scan. With both at their defaults (0, false)
-// the estimates are exactly the unpruned formulas.
+// skewed document lengths (the executors gallop at kGallopSizeRatio).
+// When in.pruning_rate > 0 (the planner sets it via ExpectedPruningRate)
+// the HHNL estimate discounts the merge, accumulation and heap work by the
+// expected pruning rate and charges the bound checks instead. HVNL and
+// VVM accumulate every candidate, so their estimates ignore the rate.
 CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);

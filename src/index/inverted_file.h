@@ -46,15 +46,14 @@ enum class PostingCompression {
 // this many i-cells; delta encoding restarts at each block boundary (the
 // first document number of a block is absolute), so any block decodes
 // independently of its predecessors. 64 cells keep the per-block metadata
-// under 3% of an uncompressed entry while leaving enough cells per block
-// for the block-max bound to be meaningfully tighter than the entry max
-// (DESIGN.md section 10 discusses the choice).
+// under 3% of an uncompressed entry (DESIGN.md section 10 discusses the
+// choice).
 inline constexpr int64_t kPostingBlockCells = 64;
 
 // Rounds a max-weight bound up to the nearest representable float. Weights
 // themselves are uint16 (exact in float), but idf-scaled bounds computed in
 // double must quantize TOWARD +inf: rounding a bound down would let a real
-// score exceed it, breaking the suppression soundness argument.
+// score exceed it, so the stored value would no longer be an upper bound.
 inline float QuantizeMaxWeight(double w) {
   float f = static_cast<float>(w);
   if (static_cast<double>(f) < w) {
@@ -65,10 +64,11 @@ inline float QuantizeMaxWeight(double w) {
 
 class InvertedFile {
  public:
-  // Block-max WAND style per-block summary: the document-number span the
-  // block covers and an upper bound on any cell weight inside it. The
-  // offset is relative to the entry's first byte, so a cursor can seek
-  // straight to a block and decode it in isolation.
+  // Per-block summary: the document-number span the block covers and an
+  // upper bound on any cell weight inside it. The offset is relative to
+  // the entry's first byte, so a reader can seek straight to a block and
+  // decode it in isolation. Part of the persisted format (catalog round
+  // trip); no executor reads the spans or maxima today.
   struct PostingBlockMeta {
     DocId first_doc = 0;
     DocId last_doc = 0;
@@ -84,11 +84,9 @@ class InvertedFile {
     int64_t cell_count = 0;   // == document frequency of the term
     int64_t byte_length = 0;  // encoded length on disk
     // Largest cell weight in the list — an upper bound on any document's
-    // weight for this term, used by the exact top-lambda pruning layer
-    // (join/pruning.h) to bound a term's score contribution without
-    // fetching the entry. Stored round-up-quantized: truncating fractional
-    // (idf-scaled) bounds toward zero would zero out sub-1.0 bounds and
-    // wrongly suppress qualifying candidates.
+    // weight for this term, known without fetching the entry. Stored
+    // round-up-quantized: truncating fractional (idf-scaled) bounds toward
+    // zero would turn sub-1.0 bounds into 0.
     float max_weight = 0;
     // Fixed-size block summaries (kPostingBlockCells cells each; the last
     // block may be short). Non-empty for every entry with at least one
@@ -143,7 +141,7 @@ class InvertedFile {
   Result<std::vector<ICell>> FetchEntry(TermId term) const;
 
   // FetchEntry's I/O without the decode: the entry's raw encoded bytes,
-  // for callers that decode block-by-block (index/posting_cursor.h).
+  // for callers that defer decoding until first use (HVNL's entry cache).
   Result<std::vector<uint8_t>> FetchEntryRaw(TermId term) const;
 
   // Pages touched when entry `index` is read in isolation: the paper's
@@ -174,8 +172,8 @@ class InvertedFile {
     Result<std::vector<ICell>> Next();
 
     // Reads the next entry's raw encoded bytes and advances — same metered
-    // I/O as Next(), but decoding is left to the caller (block-granular
-    // lazy decode, see index/posting_cursor.h).
+    // I/O as Next(), but decoding is left to the caller (HVNL's entry
+    // cache decodes an entry only when an outer document first probes it).
     Result<std::vector<uint8_t>> NextRaw();
 
     // Skips the next entry, still paying the I/O for pages it occupies
@@ -210,22 +208,6 @@ class InvertedFile {
   int64_t total_bytes_ = 0;
   PostingCompression compression_ = PostingCompression::kNone;
 };
-
-// Upper bound on the weight document `doc` can have in `entry`'s posting
-// list, from block metadata alone: the covering block's max weight, or 0
-// when no block's [first_doc, last_doc] span contains `doc` — a document
-// outside every span provably does not appear in the list. Falls back to
-// the entry max when the entry carries no block summaries.
-inline float MaxWeightForDoc(const InvertedFile::EntryMeta& entry, DocId doc) {
-  if (entry.blocks.empty()) return entry.max_weight;
-  auto it = std::lower_bound(
-      entry.blocks.begin(), entry.blocks.end(), doc,
-      [](const InvertedFile::PostingBlockMeta& b, DocId d) {
-        return b.last_doc < d;
-      });
-  if (it == entry.blocks.end() || doc < it->first_doc) return 0.0f;
-  return it->max_weight;
-}
 
 // Serializes i-cells to the 5-byte on-disk format.
 void EncodeICells(const std::vector<ICell>& cells, std::vector<uint8_t>* out);
@@ -263,11 +245,9 @@ Status DecodePostingBlock(const uint8_t* bytes, int64_t byte_length,
                           std::vector<ICell>* out);
 
 // DecodePostingBlock into caller-owned storage: writes exactly `count`
-// cells at `out` on success (the caller guarantees the room). This is the
-// zero-allocation path block-granular readers (index/posting_cursor.h)
-// decode through — their scratch is sized once per entry, so steady-state
-// block decode never touches the allocator. On failure nothing is
-// guaranteed about `out`.
+// cells at `out` on success (the caller guarantees the room), so a reader
+// that sizes its scratch once decodes block after block without touching
+// the allocator. On failure nothing is guaranteed about `out`.
 Status DecodePostingBlockInto(const uint8_t* bytes, int64_t byte_length,
                               int64_t count, PostingCompression compression,
                               ICell* out);

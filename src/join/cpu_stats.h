@@ -22,19 +22,16 @@ struct CpuStats {
   // i-cells decoded from fetched or scanned inverted entries.
   int64_t cells_decoded = 0;
 
-  // Pruning-layer counters (join/pruning.h). `bound_checks` is work done
-  // (one upper-bound evaluation each); the other three count work AVOIDED:
-  // candidate pairs skipped before any merge step, merges cut short by the
-  // running suffix bound, and HVNL/VVM accumulator admissions refused.
+  // HHNL pruning counters (join/pruning.h). `bound_checks` is work done
+  // (one upper-bound evaluation each); the other two count work AVOIDED:
+  // candidate pairs skipped before any merge step and merges cut short by
+  // the running suffix bound.
   int64_t bound_checks = 0;
   int64_t pairs_pruned = 0;
   int64_t early_exits = 0;
+  // Always 0: HVNL and VVM accumulate every candidate. Kept so readers of
+  // the counter (the end-to-end benchmark's prune yield) still compile.
   int64_t candidates_suppressed = 0;
-  // Block-max traversal counters (work avoided): posting blocks passed
-  // over without decoding, and accumulator entries retired early because
-  // their block-refined remaining bound could no longer reach theta.
-  int64_t blocks_skipped = 0;
-  int64_t accumulators_trimmed = 0;
 
   CpuStats& operator+=(const CpuStats& o) {
     cell_compares += o.cell_compares;
@@ -45,8 +42,6 @@ struct CpuStats {
     pairs_pruned += o.pairs_pruned;
     early_exits += o.early_exits;
     candidates_suppressed += o.candidates_suppressed;
-    blocks_skipped += o.blocks_skipped;
-    accumulators_trimmed += o.accumulators_trimmed;
     return *this;
   }
 
@@ -62,8 +57,6 @@ struct CpuStats {
     d.pairs_pruned = pairs_pruned - o.pairs_pruned;
     d.early_exits = early_exits - o.early_exits;
     d.candidates_suppressed = candidates_suppressed - o.candidates_suppressed;
-    d.blocks_skipped = blocks_skipped - o.blocks_skipped;
-    d.accumulators_trimmed = accumulators_trimmed - o.accumulators_trimmed;
     return d;
   }
 
@@ -77,9 +70,7 @@ struct CpuStats {
   }
 
   bool any_pruning() const {
-    return bound_checks != 0 || pairs_pruned != 0 || early_exits != 0 ||
-           candidates_suppressed != 0 || blocks_skipped != 0 ||
-           accumulators_trimmed != 0;
+    return bound_checks != 0 || pairs_pruned != 0 || early_exits != 0;
   }
 
   std::string ToString() const {

@@ -11,7 +11,6 @@
 #include "cost/params.h"
 #include "index/inverted_file.h"
 #include "join/cpu_stats.h"
-#include "join/pruning.h"
 #include "join/similarity.h"
 #include "join/topk.h"
 #include "storage/io_stats.h"
@@ -28,11 +27,6 @@ class QueryStatsCollector;  // obs/query_stats.h
 struct JoinSpec {
   int64_t lambda = 20;
   SimilarityConfig similarity;
-
-  // Exact top-lambda pruning (join/pruning.h): defaults to fully enabled.
-  // Pure CPU optimization — results and metered I/O are identical with it
-  // off; only CpuStats and the pruning counters change.
-  PruningConfig pruning;
 
   // Per-query lifecycle limits, forwarded into the QueryGovernor the
   // Database builds for this query (exec/governor.h). 0 = no limit /

@@ -13,22 +13,19 @@ namespace textjoin {
 
 namespace {
 
-// Per-side pruning state of the HHNL pair loops. Bound profiles come from
-// the catalog when idf weighting is off (no cell scan) and from one pass
-// over the cells otherwise; suffix bounds are built only when the
-// early-exit merge needs them.
+// Per-side pruning state of the HHNL pair loops (join/pruning.h): every
+// pair is bound-checked before its merge, and every merge may stop early
+// once its suffix bound cannot reach the heap's threshold. Bound profiles
+// come from the catalog when idf weighting is off (no cell scan) and from
+// one pass over the cells otherwise.
 struct PairPruner {
-  explicit PairPruner(const JoinSpec& spec, const SimilarityContext& sim)
-      : prune(spec.pruning), sim(sim) {}
+  explicit PairPruner(const SimilarityContext& sim) : sim(sim) {}
 
-  PruningConfig prune;
   const SimilarityContext& sim;
 
   // Bound-tightness telemetry: mean score/bound ratio of evaluated pairs.
   double tightness_sum = 0;
   int64_t tightness_n = 0;
-
-  bool active() const { return prune.bound_skip || prune.early_exit; }
 
   DocBounds Bounds(const DocumentCollection& collection, DocId doc,
                    const Document& d, const DocumentNorms& norms) const {
@@ -49,14 +46,13 @@ struct PairPruner {
   // batch, through the dispatched kernel. `fixed_is_a` says which argument
   // position the fixed document holds in PairUpperBound (the trailing
   // inv-norm multiplies associate left), so the batched bounds are
-  // bit-identical to the per-pair calls they replace. No-op when batch
-  // pruning is off.
+  // bit-identical to the per-pair calls they replace.
   void BatchPairBounds(const DocBounds& fixed,
                        const std::vector<DocBounds>& cands, bool fixed_is_a,
                        kernel::DoubleBuffer* out) const {
     static_assert(sizeof(DocBounds) == 4 * sizeof(double),
                   "pair_bounds kernel assumes DocBounds is 4 packed doubles");
-    if (!prune.bound_skip || cands.empty()) return;
+    if (cands.empty()) return;
     out->resize(cands.size());
     kernel::Active().pair_bounds(
         reinterpret_cast<const double*>(cands.data()),
@@ -66,55 +62,35 @@ struct PairPruner {
 
   // Evaluates one candidate pair against `heap`, offering the finalized
   // score when the pair survives the bound checks. `inner_doc` is the
-  // candidate identity (C1 side) for tie-breaking.
+  // candidate identity (C1 side) for tie-breaking; `pair_ub` is the pair's
+  // PairUpperBound from the batched kernel.
   void EvaluatePair(const Document& d1, const Document& d2,
                     const DocBounds& b1, const DocBounds& b2,
                     const SuffixBounds& s1, const SuffixBounds& s2,
                     DocId inner_doc, DocId outer_doc, TopKAccumulator* heap,
-                    CpuStats* cpu, const DocBlockIndex* k1 = nullptr,
-                    const DocBlockIndex* k2 = nullptr,
-                    const double* precomputed_ub = nullptr) {
-    double pair_ub = 0;
-    if (prune.bound_skip) {
-      // The check itself happens per pair whether the bound came from the
-      // batched kernel or is computed here — the metering is identical.
-      if (cpu != nullptr) ++cpu->bound_checks;
-      pair_ub =
-          precomputed_ub != nullptr ? *precomputed_ub : PairUpperBound(b1, b2);
-      if (heap->CannotQualify(inner_doc, pair_ub * kBoundSlack)) {
-        if (cpu != nullptr) ++cpu->pairs_pruned;
-        return;
-      }
+                    CpuStats* cpu, double pair_ub) {
+    if (cpu != nullptr) ++cpu->bound_checks;
+    if (heap->CannotQualify(inner_doc, pair_ub * kBoundSlack)) {
+      if (cpu != nullptr) ++cpu->pairs_pruned;
+      return;
     }
-    double acc;
-    if (prune.early_exit) {
-      PrunedDotResult r =
-          WeightedDotPruned(d1, d2, sim, s1, s2, b1.inv_norm * b2.inv_norm,
-                            inner_doc, *heap, k1, k2);
-      if (cpu != nullptr) {
-        cpu->cell_compares += r.detail.merge_steps;
-        cpu->accumulations += r.detail.common_terms;
-        cpu->bound_checks += r.bound_checks;
-        cpu->blocks_skipped += r.detail.blocks_skipped;
-      }
-      if (r.pruned) {
-        if (cpu != nullptr) ++cpu->early_exits;
-        return;
-      }
-      acc = r.detail.acc;
-    } else {
-      DotDetail d = WeightedDotKernel(d1, d2, sim, k1, k2);
-      if (cpu != nullptr) {
-        cpu->cell_compares += d.merge_steps;
-        cpu->accumulations += d.common_terms;
-        cpu->blocks_skipped += d.blocks_skipped;
-      }
-      acc = d.acc;
+    PrunedDotResult r =
+        WeightedDotPruned(d1, d2, sim, s1, s2, b1.inv_norm * b2.inv_norm,
+                          inner_doc, *heap);
+    if (cpu != nullptr) {
+      cpu->cell_compares += r.detail.merge_steps;
+      cpu->accumulations += r.detail.common_terms;
+      cpu->bound_checks += r.bound_checks;
     }
+    if (r.pruned) {
+      if (cpu != nullptr) ++cpu->early_exits;
+      return;
+    }
+    const double acc = r.detail.acc;
     if (acc <= 0) return;
     if (cpu != nullptr) ++cpu->heap_offers;
     const double score = sim.Finalize(acc, inner_doc, outer_doc);
-    if (prune.bound_skip && pair_ub > 0) {
+    if (pair_ub > 0) {
       tightness_sum += score / pair_ub;
       ++tightness_n;
     }
@@ -157,7 +133,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
     stats->SetRootLabel("HHNL");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(spec, *ctx.similarity);
+  PairPruner pruner(*ctx.similarity);
 
   JoinResult result;
   result.reserve(participating.size());
@@ -193,63 +169,34 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
     if (stats != nullptr) stats->AddCounter("outer_batches", 1);
 
     // Bound profiles of the resident batch (outer side).
-    std::vector<DocBounds> batch_bounds;
-    std::vector<SuffixBounds> batch_suffix;
-    std::vector<DocBlockIndex> batch_blocks;
-    if (pruner.active()) {
-      batch_bounds.resize(batch_size);
-      for (size_t i = 0; i < batch_size; ++i) {
-        batch_bounds[i] = pruner.Bounds(*ctx.outer, batch_docs[i], batch[i],
-                                        ctx.similarity->outer_norms);
-      }
-      if (pruner.prune.early_exit) {
-        batch_suffix.resize(batch_size);
-        for (size_t i = 0; i < batch_size; ++i) {
-          batch_suffix[i].Build(batch[i], *ctx.similarity);
-        }
-      }
-    }
-    if (pruner.prune.block_skip) {
-      batch_blocks.resize(batch_size);
-      for (size_t i = 0; i < batch_size; ++i) {
-        batch_blocks[i].Build(batch[i]);
-      }
+    std::vector<DocBounds> batch_bounds(batch_size);
+    std::vector<SuffixBounds> batch_suffix(batch_size);
+    for (size_t i = 0; i < batch_size; ++i) {
+      batch_bounds[i] = pruner.Bounds(*ctx.outer, batch_docs[i], batch[i],
+                                      ctx.similarity->outer_norms);
+      batch_suffix[i].Build(batch[i], *ctx.similarity);
     }
 
     std::vector<TopKAccumulator> heaps(batch_size,
                                        TopKAccumulator(spec.lambda));
     // Pass over the (participating) inner documents for this batch.
     PhaseScope scan_inner(stats, phase::kScanInner);
-    DocBounds b1;
     SuffixBounds s1;
-    DocBlockIndex k1;
     kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
-    const SuffixBounds no_suffix;
     TEXTJOIN_RETURN_IF_ERROR(ForEachInnerDoc(
         ctx, spec, [&](DocId inner_doc, const Document& d1) {
-          if (pruner.active()) {
-            b1 = pruner.Bounds(*ctx.inner, inner_doc, d1,
-                               ctx.similarity->inner_norms);
-            if (pruner.prune.early_exit) s1.Build(d1, *ctx.similarity);
-          }
-          if (pruner.prune.block_skip) k1.Build(d1);
+          const DocBounds b1 = pruner.Bounds(*ctx.inner, inner_doc, d1,
+                                             ctx.similarity->inner_norms);
+          s1.Build(d1, *ctx.similarity);
           // One kernel call bounds the inner document against the whole
           // resident batch (the inner document is PairUpperBound's first
           // argument here).
-          const bool batched_ub = pruner.prune.bound_skip;
-          if (batched_ub) {
-            pruner.BatchPairBounds(b1, batch_bounds, /*fixed_is_a=*/true,
-                                   &pair_ubs);
-          }
+          pruner.BatchPairBounds(b1, batch_bounds, /*fixed_is_a=*/true,
+                                 &pair_ubs);
           for (size_t i = 0; i < batch_size; ++i) {
-            pruner.EvaluatePair(
-                d1, batch[i], b1,
-                batch_bounds.empty() ? b1 : batch_bounds[i], s1,
-                batch_suffix.empty() ? no_suffix : batch_suffix[i],
-                inner_doc, batch_docs[i], &heaps[i], cpu,
-                pruner.prune.block_skip ? &k1 : nullptr,
-                batch_blocks.empty() ? nullptr : &batch_blocks[i],
-                batched_ub ? &pair_ubs[i] : nullptr);
+            pruner.EvaluatePair(d1, batch[i], b1, batch_bounds[i], s1,
+                                batch_suffix[i], inner_doc, batch_docs[i],
+                                &heaps[i], cpu, pair_ubs[i]);
           }
         }));
     for (size_t i = 0; i < batch_size; ++i) {
@@ -286,7 +233,7 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
     stats->SetRootLabel("HHNL backward");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(spec, *ctx.similarity);
+  PairPruner pruner(*ctx.similarity);
 
   // One heap per participating outer document, alive for the whole run.
   std::vector<TopKAccumulator> heaps(participating.size(),
@@ -314,37 +261,19 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
     if (stats != nullptr) stats->AddCounter("inner_batches", 1);
 
     // Bound profiles of the resident batch (inner side).
-    std::vector<DocBounds> batch_bounds;
-    std::vector<SuffixBounds> batch_suffix;
-    std::vector<DocBlockIndex> batch_blocks;
-    if (pruner.active()) {
-      batch_bounds.resize(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_bounds[i] = pruner.Bounds(*ctx.inner, batch_docs[i], batch[i],
-                                        ctx.similarity->inner_norms);
-      }
-      if (pruner.prune.early_exit) {
-        batch_suffix.resize(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-          batch_suffix[i].Build(batch[i], *ctx.similarity);
-        }
-      }
-    }
-    if (pruner.prune.block_skip) {
-      batch_blocks.resize(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_blocks[i].Build(batch[i]);
-      }
+    std::vector<DocBounds> batch_bounds(batch.size());
+    std::vector<SuffixBounds> batch_suffix(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch_bounds[i] = pruner.Bounds(*ctx.inner, batch_docs[i], batch[i],
+                                      ctx.similarity->inner_norms);
+      batch_suffix[i].Build(batch[i], *ctx.similarity);
     }
 
     // Pass over the outer documents.
     PhaseScope rescan(stats, phase::kRescanOuter);
     auto outer_scan = ctx.outer->Scan();
-    DocBounds b2;
     SuffixBounds s2;
-    DocBlockIndex k2;
     kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
-    const SuffixBounds no_suffix;
     for (size_t oi = 0; oi < participating.size(); ++oi) {
       DocId outer_doc = participating[oi];
       Document d2;
@@ -354,28 +283,18 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         TEXTJOIN_CHECK_EQ(outer_scan.next_doc(), outer_doc);
         TEXTJOIN_ASSIGN_OR_RETURN(d2, outer_scan.Next());
       }
-      if (pruner.active()) {
-        b2 = pruner.Bounds(*ctx.outer, outer_doc, d2,
-                           ctx.similarity->outer_norms);
-        if (pruner.prune.early_exit) s2.Build(d2, *ctx.similarity);
-      }
-      if (pruner.prune.block_skip) k2.Build(d2);
+      const DocBounds b2 = pruner.Bounds(*ctx.outer, outer_doc, d2,
+                                         ctx.similarity->outer_norms);
+      s2.Build(d2, *ctx.similarity);
       // One kernel call bounds the outer document against the resident
       // inner batch (the outer document is PairUpperBound's second
       // argument here, hence fixed_is_a = false).
-      const bool batched_ub = pruner.prune.bound_skip;
-      if (batched_ub) {
-        pruner.BatchPairBounds(b2, batch_bounds, /*fixed_is_a=*/false,
-                               &pair_ubs);
-      }
+      pruner.BatchPairBounds(b2, batch_bounds, /*fixed_is_a=*/false,
+                             &pair_ubs);
       for (size_t i = 0; i < batch.size(); ++i) {
-        pruner.EvaluatePair(
-            batch[i], d2, batch_bounds.empty() ? b2 : batch_bounds[i], b2,
-            batch_suffix.empty() ? no_suffix : batch_suffix[i], s2,
-            batch_docs[i], outer_doc, &heaps[oi], cpu,
-            batch_blocks.empty() ? nullptr : &batch_blocks[i],
-            pruner.prune.block_skip ? &k2 : nullptr,
-            batched_ub ? &pair_ubs[i] : nullptr);
+        pruner.EvaluatePair(batch[i], d2, batch_bounds[i], b2,
+                            batch_suffix[i], s2, batch_docs[i], outer_doc,
+                            &heaps[oi], cpu, pair_ubs[i]);
       }
     }
   }

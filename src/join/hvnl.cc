@@ -5,11 +5,9 @@
 #include <list>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "cost/cost_model.h"
-#include "index/posting_cursor.h"
 #include "kernel/aligned.h"
 #include "kernel/dispatch.h"
 #include "obs/query_stats.h"
@@ -18,16 +16,42 @@ namespace textjoin {
 
 namespace {
 
-// Accumulator trim cadence: between theta rebuilds, every this many outer
-// cells the accumulator is swept for entries whose remaining potential can
-// no longer reach theta. A sweep is O(|acc|); the stride keeps it amortized
-// against the per-cell accumulation work.
-constexpr size_t kTrimStride = 32;
+// An inverted entry held as its raw encoded bytes until an outer document
+// first walks it. A case-1 scan caches the whole file this way, so only the
+// entries some outer document probes are ever decoded (and metered as
+// decoded cells).
+class LazyEntry {
+ public:
+  LazyEntry(int64_t cell_count, PostingCompression compression,
+            std::vector<uint8_t> raw)
+      : cell_count_(cell_count), compression_(compression),
+        raw_(std::move(raw)) {}
 
-// Cache of inverted file entries with pluggable replacement. Entries are
-// held as raw encoded bytes with block-granular lazy decode
-// (index/posting_cursor.h), so a cached entry whose blocks are skipped by
-// the block-max walk never pays their decode.
+  // The entry's cells, decoded on the first call. `newly_decoded` receives
+  // the number of cells this call decoded (0 on a repeat visit).
+  Result<const std::vector<ICell>*> Cells(int64_t* newly_decoded) {
+    *newly_decoded = 0;
+    if (!decoded_) {
+      TEXTJOIN_ASSIGN_OR_RETURN(
+          cells_, DecodePostings(raw_.data(),
+                                 static_cast<int64_t>(raw_.size()),
+                                 cell_count_, compression_));
+      std::vector<uint8_t>().swap(raw_);
+      decoded_ = true;
+      *newly_decoded = cell_count_;
+    }
+    return &cells_;
+  }
+
+ private:
+  int64_t cell_count_;
+  PostingCompression compression_;
+  std::vector<uint8_t> raw_;
+  std::vector<ICell> cells_;
+  bool decoded_ = false;
+};
+
+// Cache of inverted file entries with pluggable replacement.
 class EntryCache {
  public:
   EntryCache(int64_t capacity, HvnlJoin::Replacement policy,
@@ -36,7 +60,7 @@ class EntryCache {
 
   bool Contains(TermId term) const { return entries_.count(term) > 0; }
 
-  BlockLazyEntry* Get(TermId term) {
+  LazyEntry* Get(TermId term) {
     auto it = entries_.find(term);
     if (it == entries_.end()) return nullptr;
     if (policy_ == HvnlJoin::Replacement::kLru) {
@@ -50,10 +74,9 @@ class EntryCache {
   // Inserts `entry`; evicts per policy when over capacity (possibly the
   // incoming entry itself, which has already been consumed by the caller).
   // Returns the number of evictions performed.
-  int64_t Put(TermId term, BlockLazyEntry entry) {
+  int64_t Put(TermId term, LazyEntry entry) {
     if (capacity_ <= 0) return 0;
-    Slot slot;
-    slot.entry = std::move(entry);
+    Slot slot{std::move(entry), {}};
     if (policy_ == HvnlJoin::Replacement::kLru) {
       lru_.push_front(term);
       slot.lru_pos = lru_.begin();
@@ -71,7 +94,7 @@ class EntryCache {
 
  private:
   struct Slot {
-    BlockLazyEntry entry;
+    LazyEntry entry;
     std::list<TermId>::iterator lru_pos;
   };
 
@@ -183,44 +206,14 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
         TermId term = scan.NextTerm();
         const InvertedFile::EntryMeta* meta = &scan.NextMeta();
         TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, scan.NextRaw());
-        cache.Put(term, BlockLazyEntry(meta, compression, std::move(raw)));
+        cache.Put(term, LazyEntry(meta->cell_count, compression,
+                                  std::move(raw)));
       }
     }
   }
   const std::vector<char> inner_member = InnerMembership(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
 
-  // Top-lambda admission suppression (join/pruning.h): a document first
-  // seen at cell i of the outer document can accumulate at most the suffix
-  // of per-term bounds max_weight(t) * w2(t) * idf(t)^2 from the catalog;
-  // if that, finalized against the smallest eligible inner norm, falls
-  // strictly below the lambda-th best finalized partial score theta, the
-  // accumulator entry is never created. Existing entries always accumulate,
-  // so surviving scores are bit-identical; I/O is untouched.
-  //
-  // With PruningConfig::block_skip the bounds sharpen per candidate: the
-  // inverted file's per-block maxima give MaxWeightForDoc(entry, doc) — the
-  // covering block's maximum, or 0 when the document lies outside every
-  // block span (provably absent from the list). Three refinements follow,
-  // all sound for the same strict-inequality reason:
-  //   * refined admission: a would-be new candidate is refused when even
-  //     the block-refined suffix bound cannot reach theta;
-  //   * accumulator trimming: existing entries whose partial score plus
-  //     remaining bound falls below theta are retired (their final score
-  //     is provably below the final lambda-th best);
-  //   * block skipping: once admission is closed, posting blocks whose
-  //     document span contains no live accumulator entry are passed over
-  //     undecoded.
-  const bool suppress = spec.pruning.bound_skip;
-  const bool block_feature = suppress && spec.pruning.block_skip;
-  const bool cosine = ctx.similarity->config.cosine_normalize;
-  const double min_inner_norm =
-      MinEligibleNorm(ctx.similarity->inner_norms, ctx.inner->num_documents(),
-                      inner_member, cosine);
-  std::vector<double> cell_suffix_ub;  // per outer doc, cells + 1 entries
-  std::vector<int64_t> cell_entry;     // per outer cell: entries() index, -1
-  std::vector<double> cell_w2f;        // per outer cell: w2 * idf^2
-  std::vector<double> theta_scratch;
   // Per-cell contributions (w1 * w2) * factor of one posting run, computed
   // by the dispatched scoring kernel. Sized once to the largest inner
   // entry, so the accumulation hot loop never reallocates.
@@ -276,8 +269,6 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
                   spec.delta *
                   static_cast<double>(ctx.inner->num_documents())) +
               16);
-  std::unordered_set<DocId> dead;  // refused/retired candidates, per outer
-  std::vector<DocId> acc_docs;     // sorted accumulator keys (block skip)
   TopKAccumulator heap(spec.lambda);  // reused across outer documents
   std::vector<char> processed(participating.size(), 0);
 
@@ -316,145 +307,9 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     const DocId outer_doc = participating[pick];
 
     acc.clear();
-    dead.clear();
-    bool acc_docs_dirty = true;
-
-    // Finalize scale bounding any still-unseen candidate of this outer
-    // document: 1 without cosine normalization, else the reciprocal of the
-    // smallest possible denominator. 0 admits nobody once theta > 0 —
-    // every final score would be 0 anyway.
-    double cand_scale = 1.0;
-    double outer_norm = 1.0;
-    if (suppress) {
-      outer_norm = ctx.similarity->outer_norms.of(outer_doc);
-      cand_scale = (min_inner_norm > 0 && outer_norm > 0)
-                       ? 1.0 / (min_inner_norm * outer_norm)
-                       : 0.0;
-      const auto& cs = d2.cells();
-      cell_suffix_ub.assign(cs.size() + 1, 0.0);
-      cell_entry.assign(cs.size(), -1);
-      cell_w2f.assign(cs.size(), 0.0);
-      for (size_t i = cs.size(); i-- > 0;) {
-        double ub = 0;
-        const int64_t e = ctx.inner_index->FindEntry(cs[i].term);
-        if (e >= 0) {
-          const double w2f = static_cast<double>(cs[i].weight) *
-                             ctx.similarity->TermFactor(cs[i].term);
-          cell_entry[i] = e;
-          cell_w2f[i] = w2f;
-          ub = static_cast<double>(index_entries[e].max_weight) * w2f;
-        }
-        cell_suffix_ub[i] = cell_suffix_ub[i + 1] + ub;
-      }
-      if (cpu != nullptr) {
-        cpu->bound_checks += static_cast<int64_t>(cs.size());
-      }
-    }
-
-    // Exact Finalize reciprocal of the (candidate, outer_doc) pair —
-    // tighter than cand_scale, usable once the candidate is known.
-    auto exact_scale = [&](DocId doc) {
-      if (!cosine) return 1.0;
-      const double n1 = ctx.similarity->inner_norms.of(doc);
-      return (n1 > 0 && outer_norm > 0) ? 1.0 / (n1 * outer_norm) : 0.0;
-    };
-
-    // theta: the lambda-th largest finalized partial accumulator value —
-    // a valid lower bound on the final lambda-th best score (partials only
-    // grow, Finalize is monotone), so suppression decisions stay valid even
-    // between the amortized rebuilds. -1 = not established yet.
-    double theta = -1;
-    int64_t admissions_since_rebuild = 0;
-
-    // Can a candidate with partial score `partial` (contributions through
-    // cell `from` - 1 included) still reach theta? Walks the remaining
-    // outer cells adding the block-refined per-term bound, bailing out as
-    // soon as the accumulated bound reaches theta (yes) or even the coarse
-    // tail cannot (no). Pure bound arithmetic — kBoundSlack absorbs the
-    // fp-ordering difference from the real accumulation.
-    auto can_reach_theta = [&](double partial, DocId doc, size_t from,
-                               double scale) {
-      double bound = partial;
-      const size_t n = cell_entry.size();
-      for (size_t k = from; k < n; ++k) {
-        if (bound * scale * kBoundSlack >= theta) return true;
-        if ((bound + cell_suffix_ub[k]) * scale * kBoundSlack < theta) {
-          return false;
-        }
-        if (cell_entry[k] >= 0) {
-          bound += static_cast<double>(MaxWeightForDoc(
-                       index_entries[static_cast<size_t>(cell_entry[k])],
-                       doc)) *
-                   cell_w2f[k];
-        }
-      }
-      return bound * scale * kBoundSlack >= theta;
-    };
-
-    // Retires accumulator entries that provably cannot reach theta. The
-    // cheap gate uses the coarse cell suffix; the refined gate re-walks the
-    // remaining cells with per-block maxima. Entries that defined theta
-    // survive both gates (their bound >= their finalized partial >= theta),
-    // so theta's validity is preserved.
-    auto trim_accumulator = [&](size_t ci, bool refined) {
-      if (!block_feature || theta < 0) return;
-      const double rem = cell_suffix_ub[ci];
-      for (auto it = acc.begin(); it != acc.end();) {
-        const double scale = exact_scale(it->first);
-        bool drop = (it->second + rem) * scale * kBoundSlack < theta;
-        if (!drop && refined) {
-          if (cpu != nullptr) ++cpu->bound_checks;
-          drop = !can_reach_theta(it->second, it->first, ci, scale);
-        }
-        if (drop) {
-          dead.insert(it->first);
-          it = acc.erase(it);
-          ++run_stats_.accumulators_trimmed;
-          if (cpu != nullptr) ++cpu->accumulators_trimmed;
-          acc_docs_dirty = true;
-        } else {
-          ++it;
-        }
-      }
-    };
-
-    auto maybe_rebuild_theta = [&](size_t ci) {
-      if (static_cast<int64_t>(acc.size()) < spec.lambda || spec.lambda <= 0) {
-        return;
-      }
-      if (theta >= 0 &&
-          admissions_since_rebuild <
-              std::max<int64_t>(64, static_cast<int64_t>(acc.size()))) {
-        return;
-      }
-      theta_scratch.clear();
-      theta_scratch.reserve(acc.size());
-      for (const auto& [inner_doc, a] : acc) {
-        theta_scratch.push_back(
-            ctx.similarity->Finalize(a, inner_doc, outer_doc));
-      }
-      auto nth = theta_scratch.begin() + (spec.lambda - 1);
-      std::nth_element(theta_scratch.begin(), nth, theta_scratch.end(),
-                       [](double a, double b) { return a > b; });
-      theta = *nth;
-      admissions_since_rebuild = 0;
-      ++run_stats_.theta_rebuilds;
-      trim_accumulator(ci, /*refined=*/true);
-    };
-
-    auto ensure_acc_docs = [&]() {
-      if (!acc_docs_dirty) return;
-      acc_docs.clear();
-      acc_docs.reserve(acc.size());
-      for (const auto& [doc, a] : acc) acc_docs.push_back(doc);
-      std::sort(acc_docs.begin(), acc_docs.end());
-      acc_docs_dirty = false;
-    };
 
     PhaseScope probe(stats, phase::kProbeEntries);
-    size_t cell_index = 0;
     for (const DCell& c : d2.cells()) {
-      const size_t ci = cell_index++;
       ++directory_probes;
       if (!directory.Lookup(c.term).has_value()) continue;  // not in C1
       // Accumulate (w1 * w2) * factor in exactly the same evaluation order
@@ -462,140 +317,33 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
       const double factor = ctx.similarity->TermFactor(c.term);
       const double w2 = static_cast<double>(c.weight);
 
-      // Can a document first seen at this cell still qualify? (One bound
-      // check per cell; the same answer holds for every cell of the entry.)
-      bool admit_new = true;
-      if (suppress) {
-        maybe_rebuild_theta(ci);
-        if (block_feature && ci > 0 && ci % kTrimStride == 0) {
-          trim_accumulator(ci, /*refined=*/false);
-        }
-        if (spec.lambda <= 0) {
-          admit_new = false;
-        } else if (theta >= 0) {
-          if (cpu != nullptr) ++cpu->bound_checks;
-          admit_new =
-              cell_suffix_ub[ci] * cand_scale * kBoundSlack >= theta;
-        }
-      }
-
-      auto walk = [&](BlockLazyEntry& lazy) -> Status {
-        if (!suppress) {
-          int64_t newly = 0;
-          TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells,
-                                    lazy.All(&newly));
-          if (cpu != nullptr) {
-            cpu->cells_decoded += newly;
-            cpu->accumulations += static_cast<int64_t>(cells->size());
-            // The entry walk visits every cell.
-            cpu->cell_compares += static_cast<int64_t>(cells->size());
-          }
-          // Contributions come from the vectorized scoring kernel; the
-          // scatter into the accumulator stays sequential and in document
-          // order, so scores are bit-identical to the scalar loop.
-          const int64_t n = static_cast<int64_t>(cells->size());
-          kernel::Active().scale_cells(cells->data(), n, w2, factor,
-                                       contrib.data());
-          for (int64_t k = 0; k < n; ++k) {
-            const ICell& ic = (*cells)[static_cast<size_t>(k)];
-            if (!inner_member.empty() && !inner_member[ic.doc]) continue;
-            acc[ic.doc] += contrib[static_cast<size_t>(k)];
-          }
-          return Status::OK();
-        }
-        if (block_feature && !admit_new) {
-          // Admission is closed (and stays closed: the suffix bound only
-          // shrinks and theta only grows), so the accumulator's key set is
-          // frozen. Only blocks whose document span holds a live entry can
-          // contribute — the rest are passed over undecoded.
-          ensure_acc_docs();
-          for (int64_t b = 0; b < lazy.num_blocks(); ++b) {
-            const auto& bm = lazy.block(b);
-            if (cpu != nullptr) ++cpu->cell_compares;  // block span probe
-            auto lo = std::lower_bound(acc_docs.begin(), acc_docs.end(),
-                                       bm.first_doc);
-            if (lo == acc_docs.end() || *lo > bm.last_doc) {
-              ++run_stats_.blocks_skipped;
-              if (cpu != nullptr) ++cpu->blocks_skipped;
-              continue;
-            }
-            int64_t newly = 0;
-            TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells,
-                                      lazy.Block(b, &newly));
-            if (cpu != nullptr) {
-              cpu->cells_decoded += newly;
-              // The walked block's cells are all visited.
-              cpu->cell_compares += static_cast<int64_t>(bm.cell_count);
-            }
-            kernel::Active().scale_cells(cells, bm.cell_count, w2, factor,
-                                         contrib.data());
-            int64_t performed = 0;
-            for (int64_t k = 0; k < bm.cell_count; ++k) {
-              const ICell& ic = cells[k];
-              if (!inner_member.empty() && !inner_member[ic.doc]) continue;
-              auto it = acc.find(ic.doc);
-              if (it != acc.end()) {
-                it->second += contrib[static_cast<size_t>(k)];
-                ++performed;
-              } else {
-                ++run_stats_.suppressed_candidates;
-                if (cpu != nullptr) ++cpu->candidates_suppressed;
-              }
-            }
-            if (cpu != nullptr) cpu->accumulations += performed;
-          }
-          return Status::OK();
-        }
+      // Every cell of the entry accumulates: the paper's HVNL keeps a
+      // score for each non-zero pair, budgeted by delta.
+      auto walk = [&](LazyEntry& entry) -> Status {
         int64_t newly = 0;
-        TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells,
-                                  lazy.All(&newly));
+        TEXTJOIN_ASSIGN_OR_RETURN(const std::vector<ICell>* cells,
+                                  entry.Cells(&newly));
+        const int64_t n = static_cast<int64_t>(cells->size());
         if (cpu != nullptr) {
           cpu->cells_decoded += newly;
+          cpu->accumulations += n;
           // The entry walk visits every cell.
-          cpu->cell_compares += static_cast<int64_t>(cells->size());
+          cpu->cell_compares += n;
         }
-        const int64_t n = static_cast<int64_t>(cells->size());
+        // Contributions come from the vectorized scoring kernel; the
+        // scatter into the accumulator stays sequential and in document
+        // order, so scores are bit-identical to the scalar loop.
         kernel::Active().scale_cells(cells->data(), n, w2, factor,
                                      contrib.data());
-        int64_t performed = 0;
         for (int64_t k = 0; k < n; ++k) {
           const ICell& ic = (*cells)[static_cast<size_t>(k)];
           if (!inner_member.empty() && !inner_member[ic.doc]) continue;
-          auto it = acc.find(ic.doc);
-          if (it != acc.end()) {
-            it->second += contrib[static_cast<size_t>(k)];
-            ++performed;
-            continue;
-          }
-          if (!admit_new || (block_feature && dead.count(ic.doc) > 0)) {
-            ++run_stats_.suppressed_candidates;
-            if (cpu != nullptr) ++cpu->candidates_suppressed;
-            continue;
-          }
-          if (block_feature && theta >= 0) {
-            // Refined per-candidate admission: the coarse cell bound said
-            // "maybe", the block maxima may still say "no". One check per
-            // (outer document, candidate) — a refusal is permanent, so the
-            // candidate joins the dead set.
-            if (cpu != nullptr) ++cpu->bound_checks;
-            if (!can_reach_theta(contrib[static_cast<size_t>(k)], ic.doc,
-                                 ci + 1, exact_scale(ic.doc))) {
-              dead.insert(ic.doc);
-              ++run_stats_.suppressed_candidates;
-              if (cpu != nullptr) ++cpu->candidates_suppressed;
-              continue;
-            }
-          }
-          acc.emplace(ic.doc, contrib[static_cast<size_t>(k)]);
-          ++performed;
-          ++admissions_since_rebuild;
-          acc_docs_dirty = true;
+          acc[ic.doc] += contrib[static_cast<size_t>(k)];
         }
-        if (cpu != nullptr) cpu->accumulations += performed;
         return Status::OK();
       };
 
-      BlockLazyEntry* cached = cache.Get(c.term);
+      LazyEntry* cached = cache.Get(c.term);
       if (cached != nullptr) {
         ++run_stats_.cache_hits;
         TEXTJOIN_RETURN_IF_ERROR(walk(*cached));
@@ -605,8 +353,8 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
         TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
                                   ctx.inner_index->FetchEntryRaw(c.term));
         ++run_stats_.entry_fetches;
-        BlockLazyEntry fetched(&index_entries[static_cast<size_t>(ei)],
-                               compression, std::move(raw));
+        LazyEntry fetched(index_entries[static_cast<size_t>(ei)].cell_count,
+                          compression, std::move(raw));
         TEXTJOIN_RETURN_IF_ERROR(walk(fetched));
         run_stats_.evictions += cache.Put(c.term, std::move(fetched));
       }
@@ -632,16 +380,6 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     stats->SetCounter("entry_fetches", run_stats_.entry_fetches);
     stats->SetCounter("cache_hits", run_stats_.cache_hits);
     stats->SetCounter("evictions", run_stats_.evictions);
-    if (suppress) {
-      stats->SetCounter("suppressed_candidates",
-                        run_stats_.suppressed_candidates);
-      stats->SetCounter("theta_rebuilds", run_stats_.theta_rebuilds);
-    }
-    if (block_feature) {
-      stats->SetCounter("blocks_skipped", run_stats_.blocks_skipped);
-      stats->SetCounter("accumulators_trimmed",
-                        run_stats_.accumulators_trimmed);
-    }
   }
   return result;
 }

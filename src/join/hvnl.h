@@ -62,18 +62,6 @@ class HvnlJoin : public TextJoinAlgorithm {
     int64_t entry_fetches = 0;  // entries read from disk (incl. re-reads)
     int64_t cache_hits = 0;
     int64_t evictions = 0;
-    // Accumulator admissions suppressed by the top-lambda bound (candidates
-    // proven unable to qualify before their first accumulation), and how
-    // often the threshold theta was recomputed (join/pruning.h).
-    int64_t suppressed_candidates = 0;
-    int64_t theta_rebuilds = 0;
-    // Block-max traversal (PruningConfig::block_skip): posting blocks
-    // passed over undecoded because admission was closed and no live
-    // accumulator document fell inside the block's span, and accumulator
-    // entries retired early because even their block-refined remaining
-    // bound could not lift them to theta.
-    int64_t blocks_skipped = 0;
-    int64_t accumulators_trimmed = 0;
   };
   const RunStats& run_stats() const { return run_stats_; }
 

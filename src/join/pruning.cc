@@ -61,9 +61,7 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
                                   const SimilarityContext& ctx,
                                   const SuffixBounds& b1,
                                   const SuffixBounds& b2, double inv_denom,
-                                  DocId doc, const TopKAccumulator& heap,
-                                  const DocBlockIndex* blocks1,
-                                  const DocBlockIndex* blocks2) {
+                                  DocId doc, const TopKAccumulator& heap) {
   const auto& a = d1.cells();
   const auto& b = d2.cells();
   PrunedDotResult out;
@@ -76,8 +74,6 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
     const auto& l = d1_short ? b : a;
     const SuffixBounds& bs = d1_short ? b1 : b2;
     const SuffixBounds& bl = d1_short ? b2 : b1;
-    const DocBlockIndex* lblocks = d1_short ? blocks2 : blocks1;
-    if (lblocks != nullptr && lblocks->empty()) lblocks = nullptr;
     size_t j = 0;
     for (size_t i = 0; i < s.size() && j < l.size(); ++i) {
       if (det.merge_steps >= next_check) {
@@ -91,10 +87,7 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
         }
       }
       ++det.merge_steps;
-      j = lblocks != nullptr
-              ? GallopLowerBoundBlocked(l, *lblocks, j, s[i].term,
-                                        &det.merge_steps, &det.blocks_skipped)
-              : GallopLowerBound(l, j, s[i].term, &det.merge_steps);
+      j = GallopLowerBound(l, j, s[i].term, &det.merge_steps);
       if (j >= l.size()) break;
       if (l[j].term == s[i].term) {
         det.acc += static_cast<double>(s[i].weight) *
@@ -143,18 +136,6 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
     }
   }
   return out;
-}
-
-double MinEligibleNorm(const DocumentNorms& norms, int64_t num_documents,
-                       const std::vector<char>& member, bool cosine) {
-  if (!cosine) return 1.0;
-  double best = 0.0;
-  for (int64_t d = 0; d < num_documents; ++d) {
-    if (!member.empty() && !member[static_cast<size_t>(d)]) continue;
-    const double n = norms.of(static_cast<DocId>(d));
-    if (n > 0 && (best == 0.0 || n < best)) best = n;
-  }
-  return best;
 }
 
 }  // namespace textjoin

@@ -13,8 +13,10 @@
 
 namespace textjoin {
 
-// Exact top-lambda pruning — the MaxScore/WAND family of IR threshold
-// algorithms adapted to the paper's three join executors.
+// Exact top-lambda pruning for HHNL's pair loops — the MaxScore family
+// of IR threshold algorithms. HVNL and VVM do not prune: they accumulate
+// every non-zero similarity, as the paper describes (DESIGN.md section 8
+// records the wall-time measurement that retired their admission bounds).
 //
 // Write wt_i(t) = w_i(t) * idf(t) for a document's idf-scaled term weight
 // (idf(t) = 1 when idf weighting is off). A pair's accumulated score is
@@ -34,10 +36,9 @@ namespace textjoin {
 //
 // Floating point: fp addition of nonnegative terms is monotone, so any
 // partial accumulator value (finalized) is a valid lower bound on the
-// final score, and the lambda-th largest partial is a valid (possibly
-// stale, hence still valid) threshold. Bounds are computed in a different
-// fp expression order than the accumulation they dominate; kBoundSlack
-// absorbs that rounding so the algebraic inequality survives in fp.
+// final score. Bounds are computed in a different fp expression order
+// than the accumulation they dominate; kBoundSlack absorbs that rounding
+// so the algebraic inequality survives in fp.
 
 // Relative slack applied to every upper bound before comparing against a
 // threshold. The accumulation of n nonnegative products carries O(n*eps)
@@ -49,29 +50,6 @@ inline constexpr double kBoundSlack = 1.0 + 1e-9;
 // cost two multiplies and a compare, so re-checking every step would eat
 // the savings.
 inline constexpr int64_t kEarlyExitStride = 8;
-
-// Per-algorithm pruning switches, carried on JoinSpec. Everything defaults
-// on; results are bit-identical either way (agreement_test and
-// pruning_test enforce this).
-struct PruningConfig {
-  // Upper-bound checks: per-pair pre-checks in HHNL, accumulator admission
-  // suppression in HVNL and VVM.
-  bool bound_skip = true;
-  // Early termination inside an HHNL merge when the remaining suffix bound
-  // cannot lift the pair over the threshold.
-  bool early_exit = true;
-  // Block-max traversal (index/inverted_file.h): per-block maxima refine
-  // the admission bounds of HVNL/VVM (per-candidate document-span bounds,
-  // accumulator trimming, whole-block skips with block-granular decode)
-  // and let the galloping merge probe block boundaries. The suppression
-  // layers use it only alongside bound_skip; results are bit-identical
-  // either way (blockmax_test enforces this under TEXTJOIN_STRESS_SEED).
-  bool block_skip = true;
-
-  static PruningConfig Disabled() {
-    return PruningConfig{false, false, false};
-  }
-};
 
 // Scalar bound profile of one document under a similarity configuration.
 struct DocBounds {
@@ -139,22 +117,12 @@ struct PrunedDotResult {
 // against `heap` (tie-broken as candidate document `doc`) and stops once
 // the pair provably cannot qualify. A completed merge returns the
 // bit-identical accumulated score. `inv_denom` is the product of the two
-// documents' DocBounds::inv_norm. The optional DocBlockIndex pair switches
-// the galloping kernel to block-boundary probing (see similarity.h).
+// documents' DocBounds::inv_norm.
 PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
                                   const SimilarityContext& ctx,
                                   const SuffixBounds& b1,
                                   const SuffixBounds& b2, double inv_denom,
-                                  DocId doc, const TopKAccumulator& heap,
-                                  const DocBlockIndex* blocks1 = nullptr,
-                                  const DocBlockIndex* blocks2 = nullptr);
-
-// Smallest positive Finalize norm among the eligible inner documents
-// (respecting `member` when non-empty), or 0 when none is positive. Used
-// by HVNL, whose admission bound must hold for whichever inner document a
-// posting cell names. Returns 1.0 when cosine normalization is off.
-double MinEligibleNorm(const DocumentNorms& norms, int64_t num_documents,
-                       const std::vector<char>& member, bool cosine);
+                                  DocId doc, const TopKAccumulator& heap);
 
 }  // namespace textjoin
 

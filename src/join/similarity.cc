@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "index/inverted_file.h"
 #include "kernel/kernels.h"
 
 namespace textjoin {
@@ -142,75 +141,6 @@ DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
   return out;
 }
 
-void DocBlockIndex::Build(const Document& doc) {
-  const auto& cells = doc.cells();
-  const size_t n = cells.size();
-  const size_t stride = static_cast<size_t>(kPostingBlockCells);
-  last_.clear();
-  last_.reserve((n + stride - 1) / stride);
-  for (size_t b = 0; b * stride < n; ++b) {
-    last_.push_back(cells[std::min((b + 1) * stride, n) - 1].term);
-  }
-}
-
-size_t GallopLowerBoundBlocked(const std::vector<DCell>& cells,
-                               const DocBlockIndex& blocks, size_t lo,
-                               TermId t, int64_t* steps,
-                               int64_t* blocks_skipped) {
-  const size_t n = cells.size();
-  if (lo >= n || cells[lo].term >= t) return lo;
-  const size_t stride = static_cast<size_t>(kPostingBlockCells);
-  const auto& last = blocks.last_terms();
-  const size_t b0 = lo / stride;
-  // Resolve which block holds the answer with summary probes alone, then
-  // binary-search the <= kPostingBlockCells cells of that single block.
-  // The block bound is what beats plain galloping: the in-block search is
-  // at most log2(block) probes where the unbounded doubling pays
-  // ~2*log2(distance), and every block jumped over costs one probe
-  // instead of being walked or bracketed cell by cell.
-  ++*steps;  // block-summary probe
-  size_t target = b0;
-  if (last[b0] < t) {
-    // Gallop over the summaries to the first block whose last term
-    // reaches t — every block jumped over holds only terms < t.
-    size_t span = 1;
-    while (b0 + span < last.size() && last[b0 + span] < t) {
-      ++*steps;
-      span *= 2;
-    }
-    size_t left = b0 + span / 2 + 1;  // last[b0 + span/2] < t
-    size_t right = std::min(b0 + span, last.size() - 1);
-    while (left <= right) {
-      ++*steps;
-      size_t mid = left + (right - left) / 2;
-      if (last[mid] < t) {
-        left = mid + 1;
-      } else {
-        right = mid - 1;
-      }
-    }
-    if (blocks_skipped != nullptr && left > b0 + 1) {
-      *blocks_skipped += static_cast<int64_t>(left - b0 - 1);
-    }
-    if (left >= last.size()) return n;
-    target = left;
-  }
-  // Binary search inside the target block: the answer is in
-  // [search_lo, block_end] because last[target] >= t.
-  size_t left = std::max(lo + 1, target * stride);
-  size_t right = std::min(n, (target + 1) * stride) - 1;
-  while (left <= right) {
-    ++*steps;
-    size_t mid = left + (right - left) / 2;
-    if (cells[mid].term < t) {
-      left = mid + 1;
-    } else {
-      right = mid - 1;
-    }
-  }
-  return left;
-}
-
 size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
                         int64_t* steps) {
   const size_t n = cells.size();
@@ -243,22 +173,15 @@ namespace {
 // (w1 * w2) * factor product (double multiplication commutes exactly), so
 // the accumulated sum is bit-identical to the linear kernel's.
 DotDetail GallopingDot(const Document& d1, const Document& d2,
-                       const SimilarityContext& ctx,
-                       const DocBlockIndex* blocks1,
-                       const DocBlockIndex* blocks2) {
+                       const SimilarityContext& ctx) {
   const bool d1_short = d1.cells().size() <= d2.cells().size();
   const auto& s = d1_short ? d1.cells() : d2.cells();
   const auto& l = d1_short ? d2.cells() : d1.cells();
-  const DocBlockIndex* lb = d1_short ? blocks2 : blocks1;
-  if (lb != nullptr && lb->empty()) lb = nullptr;
   DotDetail out;
   size_t j = 0;
   for (size_t i = 0; i < s.size() && j < l.size(); ++i) {
     ++out.merge_steps;
-    j = lb != nullptr
-            ? GallopLowerBoundBlocked(l, *lb, j, s[i].term, &out.merge_steps,
-                                      &out.blocks_skipped)
-            : GallopLowerBound(l, j, s[i].term, &out.merge_steps);
+    j = GallopLowerBound(l, j, s[i].term, &out.merge_steps);
     if (j >= l.size()) break;
     if (l[j].term == s[i].term) {
       out.acc += static_cast<double>(s[i].weight) *
@@ -274,11 +197,9 @@ DotDetail GallopingDot(const Document& d1, const Document& d2,
 }  // namespace
 
 DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx,
-                            const DocBlockIndex* blocks1,
-                            const DocBlockIndex* blocks2) {
+                            const SimilarityContext& ctx) {
   return UseGalloping(d1.cells().size(), d2.cells().size())
-             ? GallopingDot(d1, d2, ctx, blocks1, blocks2)
+             ? GallopingDot(d1, d2, ctx)
              : WeightedDotDetailed(d1, d2, ctx);
 }
 

@@ -124,13 +124,10 @@ double WeightedDot(const Document& d1, const Document& d2,
 
 // WeightedDot plus the CPU-work detail the counted executors report: how
 // many merge steps the walk took and how many terms the documents share.
-// `blocks_skipped` counts d-cell blocks a blocked gallop jumped over
-// without probing any cell inside them (0 for the non-blocked kernels).
 struct DotDetail {
   double acc = 0;
   int64_t merge_steps = 0;
   int64_t common_terms = 0;
-  int64_t blocks_skipped = 0;
 };
 DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
                               const SimilarityContext& ctx);
@@ -150,35 +147,13 @@ inline bool UseGalloping(size_t n1, size_t n2) {
          std::max(n1, n2) >= shorter * static_cast<size_t>(kGallopSizeRatio);
 }
 
-// Last term of each fixed-size cell block of a document — the d-cell
-// mirror of the inverted file's per-block summaries (block size
-// kPostingBlockCells). One probe of this array answers "is the target
-// past this whole block?", so a blocked gallop jumps block-sized strides
-// instead of galloping cell by cell. Built unmetered at setup, like
-// SuffixBounds.
-class DocBlockIndex {
- public:
-  void Build(const Document& doc);
-
-  bool empty() const { return last_.empty(); }
-  const std::vector<TermId>& last_terms() const { return last_; }
-
- private:
-  std::vector<TermId> last_;
-};
-
 // WeightedDotDetailed with the intersection picked by UseGalloping. Both
 // arms visit the common terms in the same ascending order and evaluate
 // each contribution with the same expression, so acc and common_terms are
 // bit-identical to WeightedDotDetailed's; when it gallops only
-// merge_steps (one per cell visited or search probe made) differs. The
-// block indexes are optional
-// (null = plain galloping); when present they must index the
-// corresponding document's cells.
+// merge_steps (one per cell visited or search probe made) differs.
 DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx,
-                            const DocBlockIndex* blocks1 = nullptr,
-                            const DocBlockIndex* blocks2 = nullptr);
+                            const SimilarityContext& ctx);
 
 // Building block of the galloping kernel, shared with the threshold-aware
 // merge in join/pruning.h: first index >= lo whose term is >= t, found by
@@ -186,17 +161,6 @@ DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
 // merge step into *steps.
 size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
                         int64_t* steps);
-
-// GallopLowerBound with block-boundary probing: identical result, fewer
-// probes when the target lies whole blocks ahead (one summary probe rules
-// out kPostingBlockCells cells at once). `blocks` must index `cells`.
-// Probes — of summaries and of cells — are metered into *steps exactly
-// like GallopLowerBound's; blocks jumped over without any cell probe are
-// counted into *blocks_skipped (may be null).
-size_t GallopLowerBoundBlocked(const std::vector<DCell>& cells,
-                               const DocBlockIndex& blocks, size_t lo,
-                               TermId t, int64_t* steps,
-                               int64_t* blocks_skipped);
 
 }  // namespace textjoin
 

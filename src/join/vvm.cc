@@ -2,32 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "index/posting_cursor.h"
 #include "kernel/aligned.h"
 #include "kernel/dispatch.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
-
-// Accumulator keys pack the (outer, inner) document pair into 64 bits:
-// outer in the high word, inner in the low word (document numbers are
-// 3 bytes, so this is lossless).
-
-namespace {
-
-// Refined-admission probe budget: the block-refined bound walk over the
-// remaining shared terms stops after this many terms without a verdict and
-// admits conservatively, so one admission check never costs more than a
-// constant number of block lookups.
-constexpr size_t kRefineProbeLimit = 64;
-
-}  // namespace
 
 int64_t VvmJoin::Passes(const JoinContext& ctx, const JoinSpec& spec) {
   const double P = static_cast<double>(ctx.sys.page_size);
@@ -84,208 +67,28 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
     stats->SetCounter("passes", passes);
   }
 
-  // Top-lambda admission suppression (join/pruning.h). The merge visits
-  // shared terms in ascending order, so a pair first seen at shared term t
-  // can accumulate at most its contribution at t plus the suffix of
-  // per-term catalog bounds max_w1(t') * max_w2(t') * idf(t')^2 over the
-  // shared terms after t. If that, finalized with the pair's exact norms
-  // (both documents are known), falls strictly below the outer document's
-  // lambda-th best finalized partial, the accumulator entry is never
-  // created. Existing entries always accumulate; I/O is untouched.
-  //
-  // PruningConfig::block_skip sharpens this with the per-block maxima
-  // (MaxWeightForDoc, index/inverted_file.h): refined admission refuses
-  // pairs whose block-refined suffix bound cannot reach theta, pair
-  // trimming retires accumulated pairs that provably cannot qualify, and
-  // once a term's coarse bound closes admission for an outer document the
-  // C1 entry is walked block-wise, skipping (undecoded) every block whose
-  // document span holds none of that outer document's live pairs.
-  const bool suppress = spec.pruning.bound_skip;
-  const bool block_feature = suppress && spec.pruning.block_skip;
-  const bool cosine = ctx.similarity->config.cosine_normalize;
-  const auto& E1 = ctx.inner_index->entries();
-  const auto& E2 = ctx.outer_index->entries();
-  std::vector<TermId> shared_terms;
-  std::vector<double> shared_suffix;  // size shared_terms + 1, trailing 0
-  std::vector<int64_t> shared_e1, shared_e2;  // entry indexes per shared term
-  std::vector<double> shared_factor;          // idf^2 per shared term
-  std::vector<double> inv_n1, inv_n2;
-  std::vector<double> theta;  // per outer document; -1 = not established
-  double max_inv1 = 1.0;      // largest eligible 1/norm on the C1 side
-  int64_t suppressed_candidates = 0;
-  int64_t theta_rebuilds = 0;
-  int64_t blocks_skipped = 0;
-  int64_t pairs_trimmed = 0;
-  if (suppress) {
-    std::vector<double> term_bound;
-    size_t i = 0, j = 0;
-    while (i < E1.size() && j < E2.size()) {
-      if (E1[i].term < E2[j].term) {
-        ++i;
-      } else if (E2[j].term < E1[i].term) {
-        ++j;
-      } else {
-        shared_terms.push_back(E1[i].term);
-        shared_e1.push_back(static_cast<int64_t>(i));
-        shared_e2.push_back(static_cast<int64_t>(j));
-        shared_factor.push_back(ctx.similarity->TermFactor(E1[i].term));
-        term_bound.push_back(static_cast<double>(E1[i].max_weight) *
-                             static_cast<double>(E2[j].max_weight) *
-                             shared_factor.back());
-        ++i;
-        ++j;
-      }
-    }
-    shared_suffix.assign(term_bound.size() + 1, 0.0);
-    for (size_t k = term_bound.size(); k-- > 0;) {
-      shared_suffix[k] = shared_suffix[k + 1] + term_bound[k];
-    }
-    if (cpu != nullptr) {
-      cpu->bound_checks += static_cast<int64_t>(shared_terms.size());
-    }
-    if (cosine) {
-      inv_n1.resize(static_cast<size_t>(ctx.inner->num_documents()));
-      max_inv1 = 0.0;
-      for (size_t d = 0; d < inv_n1.size(); ++d) {
-        if (!inner_member.empty() && !inner_member[d]) {
-          inv_n1[d] = 0.0;
-          continue;
-        }
-        const double n = ctx.similarity->inner_norms.of(static_cast<DocId>(d));
-        inv_n1[d] = n > 0 ? 1.0 / n : 0.0;
-        max_inv1 = std::max(max_inv1, inv_n1[d]);
-      }
-      inv_n2.resize(static_cast<size_t>(ctx.outer->num_documents()));
-      for (size_t d = 0; d < inv_n2.size(); ++d) {
-        const double n = ctx.similarity->outer_norms.of(static_cast<DocId>(d));
-        inv_n2[d] = n > 0 ? 1.0 / n : 0.0;
-      }
-    }
-    theta.resize(static_cast<size_t>(ctx.outer->num_documents()));
-  }
-
-  // Can the pair (inner, outer) with partial score `partial` still reach
-  // `th`? Adds the block-refined bound of each remaining shared term
-  // (starting at index `from`), bailing out as soon as the bound reaches
-  // th (yes), the coarse tail rules it out (no), or the probe budget runs
-  // out (conservative yes).
-  auto can_reach_theta = [&](double partial, DocId inner_doc, DocId outer_doc,
-                             size_t from, double inv_denom, double th) {
-    double bound = partial;
-    const size_t n = shared_terms.size();
-    const size_t limit = std::min(n, from + kRefineProbeLimit);
-    size_t k = from;
-    for (; k < limit; ++k) {
-      if (bound * inv_denom * kBoundSlack >= th) return true;
-      if ((bound + shared_suffix[k]) * inv_denom * kBoundSlack < th) {
-        return false;
-      }
-      bound +=
-          static_cast<double>(MaxWeightForDoc(
-              E1[static_cast<size_t>(shared_e1[k])], inner_doc)) *
-          static_cast<double>(MaxWeightForDoc(
-              E2[static_cast<size_t>(shared_e2[k])], outer_doc)) *
-          shared_factor[k];
-    }
-    if (k < n) return true;  // probe budget exhausted: admit conservatively
-    return bound * inv_denom * kBoundSlack >= th;
-  };
-
   JoinResult result;
   result.reserve(participating.size());
+  // This pass's slice of the matrix SM: one score per non-zero (outer,
+  // inner) pair of the pass's subcollection, as the paper describes. Keys
+  // pack the pair into 64 bits, outer in the high word and inner in the
+  // low word (document numbers are 3 bytes, so this is lossless).
   std::unordered_map<uint64_t, double> acc;
   // Per-cell contributions of one C1 entry against one outer cell, from
   // the dispatched scoring kernel. Sized once to the largest C1 entry so
-  // the merge's accumulation loops never reallocate.
+  // the merge's accumulation loop never reallocates.
   kernel::DoubleBuffer contribs;
   {
     int64_t max_cells = 0;
-    for (const auto& e : E1) max_cells = std::max(max_cells, e.cell_count);
+    for (const auto& e : ctx.inner_index->entries()) {
+      max_cells = std::max(max_cells, e.cell_count);
+    }
     contribs.resize(static_cast<size_t>(max_cells));
   }
-  std::unordered_map<DocId, std::vector<double>> theta_groups;  // scratch
-  // Refused/retired pairs (block feature): a refusal is permanent — the
-  // remaining potential only shrinks while theta only grows — so each pair
-  // is bound-checked at most once.
-  std::unordered_set<uint64_t> dead;
-  // Live C1 documents per outer document (the accumulator's key set,
-  // grouped), ordered so a posting block's document span can be probed.
-  std::unordered_map<DocId, std::set<DocId>> members;
 
   for (int64_t pass = 0; pass < passes; ++pass) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "VVM merge pass"));
     acc.clear();
-    dead.clear();
-    members.clear();
-    if (suppress) theta.assign(theta.size(), -1.0);
-    int64_t admissions_since_rebuild = 0;
-    size_t sp = 0;  // monotone cursor into shared_terms
-
-    // This pass's contiguous slice of the (ascending) participating outer
-    // documents. Every outer cell outside [pass_first, pass_last] fails the
-    // pass filter, so a C2 posting block whose document span misses the
-    // slice can be passed over undecoded.
-    const size_t slice_lo = static_cast<size_t>(pass * per_pass);
-    const size_t slice_hi = std::min(
-        participating.size(), static_cast<size_t>((pass + 1) * per_pass));
-    const bool slice_empty = slice_lo >= slice_hi;
-    const DocId pass_first = slice_empty ? 0 : participating[slice_lo];
-    const DocId pass_last = slice_empty ? 0 : participating[slice_hi - 1];
-
-    // Recompute every participating outer document's threshold from the
-    // finalized partial accumulator values. Partials only grow and live
-    // entries are never removed below theta-reachability, so a stale theta
-    // is merely smaller — still a valid lower bound on the final lambda-th
-    // best score. Rebuild cost is O(acc), amortized by requiring as many
-    // new admissions in between. After a rebuild, pairs whose partial plus
-    // remaining coarse bound (`rem_incl`, the suffix including the current
-    // term) cannot reach theta are retired: their final score is provably
-    // below the final lambda-th best, so dropping them is invisible in the
-    // result. The pairs that defined theta survive (bound >= partial).
-    auto maybe_rebuild_theta = [&](double rem_incl) {
-      if (!suppress || spec.lambda <= 0) return;
-      if (admissions_since_rebuild <
-          std::max<int64_t>(4096, static_cast<int64_t>(acc.size()))) {
-        return;
-      }
-      theta_groups.clear();
-      for (const auto& [key, a] : acc) {
-        const DocId outer_doc = static_cast<DocId>(key >> 32);
-        const DocId inner_doc = static_cast<DocId>(key & 0xFFFFFFFFu);
-        theta_groups[outer_doc].push_back(
-            ctx.similarity->Finalize(a, inner_doc, outer_doc));
-      }
-      for (auto& [outer_doc, values] : theta_groups) {
-        if (static_cast<int64_t>(values.size()) < spec.lambda) continue;
-        auto nth = values.begin() + (spec.lambda - 1);
-        std::nth_element(values.begin(), nth, values.end(),
-                         [](double a, double b) { return a > b; });
-        theta[outer_doc] = *nth;
-      }
-      admissions_since_rebuild = 0;
-      ++theta_rebuilds;
-      if (!block_feature) return;
-      for (auto it = acc.begin(); it != acc.end();) {
-        const DocId outer_doc = static_cast<DocId>(it->first >> 32);
-        const DocId inner_doc = static_cast<DocId>(it->first & 0xFFFFFFFFu);
-        const double th = theta[outer_doc];
-        if (th < 0) {
-          ++it;
-          continue;
-        }
-        const double inv_denom =
-            cosine ? inv_n1[inner_doc] * inv_n2[outer_doc] : 1.0;
-        if ((it->second + rem_incl) * inv_denom * kBoundSlack < th) {
-          dead.insert(it->first);
-          members[outer_doc].erase(inner_doc);
-          it = acc.erase(it);
-          ++pairs_trimmed;
-          if (cpu != nullptr) ++cpu->accumulators_trimmed;
-        } else {
-          ++it;
-        }
-      }
-    };
 
     PhaseScope merge(stats, phase::kMergeScan);
     // Parallel scan of both inverted files, merging on term number.
@@ -297,232 +100,38 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
       if (t1 < t2) {
         if (cpu != nullptr) cpu->cells_decoded += scan1.NextCellCount();
         TEXTJOIN_RETURN_IF_ERROR(scan1.SkipEntry());
-      } else if (t2 < t1) {
+        continue;
+      }
+      if (t2 < t1) {
         if (cpu != nullptr) cpu->cells_decoded += scan2.NextCellCount();
         TEXTJOIN_RETURN_IF_ERROR(scan2.SkipEntry());
-      } else if (!suppress) {
-        TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> e1, scan1.Next());
-        TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> e2, scan2.Next());
+        continue;
+      }
+      TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> e1, scan1.Next());
+      TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> e2, scan2.Next());
+      if (cpu != nullptr) {
+        cpu->cells_decoded += static_cast<int64_t>(e1.size() + e2.size());
+        // Every C2 cell is visited for the pass-membership check.
+        cpu->cell_compares += static_cast<int64_t>(e2.size());
+      }
+      const double factor = ctx.similarity->TermFactor(t1);
+      const int64_t n1 = static_cast<int64_t>(e1.size());
+      for (const ICell& oc : e2) {
+        if (pass_of[oc.doc] != pass) continue;
+        const double w2 = static_cast<double>(oc.weight);
+        const uint64_t base = static_cast<uint64_t>(oc.doc) << 32;
         if (cpu != nullptr) {
-          cpu->cells_decoded +=
-              static_cast<int64_t>(e1.size() + e2.size());
-          // Every C2 cell is visited for the pass-membership check.
-          cpu->cell_compares += static_cast<int64_t>(e2.size());
+          cpu->accumulations += n1;
+          cpu->cell_compares += n1;
         }
-        const double factor = ctx.similarity->TermFactor(t1);
-        for (const ICell& oc : e2) {
-          if (pass_of[oc.doc] != pass) continue;
-          const double w2 = static_cast<double>(oc.weight);
-          const uint64_t base = static_cast<uint64_t>(oc.doc) << 32;
-          if (cpu != nullptr) {
-            cpu->accumulations += static_cast<int64_t>(e1.size());
-            cpu->cell_compares += static_cast<int64_t>(e1.size());
-          }
-          // Vectorized contributions, sequential in-document-order scatter
-          // — bit-identical to the scalar accumulation loop.
-          const int64_t n1 = static_cast<int64_t>(e1.size());
-          kernel::Active().scale_cells(e1.data(), n1, w2, factor,
-                                       contribs.data());
-          for (int64_t k = 0; k < n1; ++k) {
-            const ICell& icell = e1[static_cast<size_t>(k)];
-            if (!inner_member.empty() && !inner_member[icell.doc]) continue;
-            acc[base | icell.doc] += contribs[static_cast<size_t>(k)];
-          }
-        }
-      } else {
-        // Both entries are read raw and decoded block by block: C2 blocks
-        // whose document span misses this pass's outer slice stay
-        // undecoded, and outer cells whose admission the coarse bound has
-        // closed touch only the C1 blocks holding their live pairs.
-        const InvertedFile::EntryMeta* meta1 = &scan1.NextMeta();
-        TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw1,
-                                  scan1.NextRaw());
-        BlockLazyEntry e1(meta1, ctx.inner_index->compression(),
-                          std::move(raw1));
-        const InvertedFile::EntryMeta* meta2 = &scan2.NextMeta();
-        TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw2,
-                                  scan2.NextRaw());
-        BlockLazyEntry e2(meta2, ctx.outer_index->compression(),
-                          std::move(raw2));
-        if (!block_feature) {
-          // Blocks off: decode both entries up front, exactly like the
-          // plain merge scan, so the ablation baseline's decode counters
-          // match the pre-block executor.
-          int64_t newly1 = 0, newly2 = 0;
-          TEXTJOIN_RETURN_IF_ERROR(e1.All(&newly1).status());
-          TEXTJOIN_RETURN_IF_ERROR(e2.All(&newly2).status());
-          if (cpu != nullptr) cpu->cells_decoded += newly1 + newly2;
-        }
-        const double factor = ctx.similarity->TermFactor(t1);
-        // Bound on everything a pair can still gain after this term.
-        while (sp < shared_terms.size() && shared_terms[sp] < t1) ++sp;
-        const double rem_after = shared_suffix[sp + 1];
-        maybe_rebuild_theta(shared_suffix[sp]);
-        const double entry_max1 = static_cast<double>(meta1->max_weight);
-        auto process_cell = [&](const ICell& oc) -> Status {
-          if (pass_of[oc.doc] != pass) return Status::OK();
-          const double w2 = static_cast<double>(oc.weight);
-          const uint64_t base = static_cast<uint64_t>(oc.doc) << 32;
-          const double th = theta[oc.doc];
-          const double inv2 = cosine ? inv_n2[oc.doc] : 1.0;
-          int64_t performed = 0;
-
-          // Coarse closure: when even the largest possible new pair at
-          // this term cannot reach theta, only existing pairs accumulate —
-          // walk the C1 entry block-wise over this outer document's live
-          // pairs, skipping spans that hold none.
-          const bool closed =
-              th >= 0 &&
-              (entry_max1 * w2 * factor + rem_after) * inv2 * max_inv1 *
-                      kBoundSlack <
-                  th;
-          if (block_feature && closed && e1.num_blocks() > 0) {
-            if (cpu != nullptr) ++cpu->bound_checks;
-            auto mit = members.find(oc.doc);
-            if (mit == members.end() || mit->second.empty()) {
-              blocks_skipped += e1.num_blocks();
-              if (cpu != nullptr) cpu->blocks_skipped += e1.num_blocks();
-              return Status::OK();
-            }
-            const std::set<DocId>& live = mit->second;
-            int64_t walk_compares = 0;
-            for (int64_t b = 0; b < e1.num_blocks(); ++b) {
-              const auto& bm = e1.block(b);
-              ++walk_compares;  // block span probe
-              auto lo = live.lower_bound(bm.first_doc);
-              if (lo == live.end() || *lo > bm.last_doc) {
-                ++blocks_skipped;
-                if (cpu != nullptr) ++cpu->blocks_skipped;
-                continue;
-              }
-              int64_t newly = 0;
-              TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells,
-                                        e1.Block(b, &newly));
-              if (cpu != nullptr) cpu->cells_decoded += newly;
-              const size_t count = static_cast<size_t>(bm.cell_count);
-              for (auto m = lo; m != live.end() && *m <= bm.last_doc; ++m) {
-                // Binary search for the member inside the decoded block,
-                // metering each probe as one merge-walk compare.
-                size_t blo = 0, bhi = count;
-                while (blo < bhi) {
-                  ++walk_compares;
-                  const size_t mid = (blo + bhi) / 2;
-                  if (cells[mid].doc < *m) {
-                    blo = mid + 1;
-                  } else {
-                    bhi = mid;
-                  }
-                }
-                if (blo >= count || cells[blo].doc != *m) continue;
-                acc[base | cells[blo].doc] +=
-                    static_cast<double>(cells[blo].weight) * w2 * factor;
-                ++performed;
-              }
-            }
-            if (cpu != nullptr) {
-              cpu->accumulations += performed;
-              cpu->cell_compares += walk_compares;
-            }
-            return Status::OK();
-          }
-
-          int64_t newly = 0;
-          TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells1,
-                                    e1.All(&newly));
-          if (cpu != nullptr) {
-            cpu->cells_decoded += newly;
-            // The open walk visits every C1 cell for this outer cell.
-            cpu->cell_compares += static_cast<int64_t>(cells1->size());
-          }
-          const int64_t n1 = static_cast<int64_t>(cells1->size());
-          kernel::Active().scale_cells(cells1->data(), n1, w2, factor,
-                                       contribs.data());
-          for (int64_t k1 = 0; k1 < n1; ++k1) {
-            const ICell& icell = (*cells1)[static_cast<size_t>(k1)];
-            if (!inner_member.empty() && !inner_member[icell.doc]) continue;
-            const double contrib = contribs[static_cast<size_t>(k1)];
-            auto it = acc.find(base | icell.doc);
-            if (it != acc.end()) {
-              it->second += contrib;
-              ++performed;
-              continue;
-            }
-            if (spec.lambda == 0) {
-              ++suppressed_candidates;
-              if (cpu != nullptr) ++cpu->candidates_suppressed;
-              continue;
-            }
-            if (block_feature && dead.count(base | icell.doc) > 0) {
-              ++suppressed_candidates;
-              if (cpu != nullptr) ++cpu->candidates_suppressed;
-              continue;
-            }
-            if (th >= 0) {
-              if (cpu != nullptr) ++cpu->bound_checks;
-              const double inv_denom =
-                  cosine ? inv_n1[icell.doc] * inv2 : 1.0;
-              if ((contrib + rem_after) * inv_denom * kBoundSlack < th) {
-                ++suppressed_candidates;
-                if (cpu != nullptr) ++cpu->candidates_suppressed;
-                if (block_feature) dead.insert(base | icell.doc);
-                continue;
-              }
-              if (block_feature &&
-                  !can_reach_theta(contrib, icell.doc, oc.doc, sp + 1,
-                                   inv_denom, th)) {
-                ++suppressed_candidates;
-                if (cpu != nullptr) ++cpu->candidates_suppressed;
-                dead.insert(base | icell.doc);
-                continue;
-              }
-            }
-            acc.emplace(base | icell.doc, contrib);
-            if (block_feature) members[oc.doc].insert(icell.doc);
-            ++performed;
-            ++admissions_since_rebuild;
-          }
-          if (cpu != nullptr) cpu->accumulations += performed;
-          return Status::OK();
-        };
-
-        // C2 traversal. With the block feature on, blocks whose document
-        // span misses [pass_first, pass_last] hold no cell of this pass's
-        // subcollection — they are passed over undecoded, so a multi-pass
-        // run stops re-decoding (and re-filtering) the whole outer entry
-        // once per pass. Blocks off decodes the full entry (parity with
-        // the pre-block executor); All() is already cached then.
-        if (block_feature && e2.num_blocks() > 0) {
-          for (int64_t b2 = 0; b2 < e2.num_blocks(); ++b2) {
-            const auto& bm2 = e2.block(b2);
-            if (slice_empty || bm2.last_doc < pass_first ||
-                bm2.first_doc > pass_last) {
-              ++blocks_skipped;
-              if (cpu != nullptr) ++cpu->blocks_skipped;
-              continue;
-            }
-            int64_t newly2 = 0;
-            TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells2,
-                                      e2.Block(b2, &newly2));
-            if (cpu != nullptr) {
-              cpu->cells_decoded += newly2;
-              // Every decoded C2 cell is visited for the pass filter.
-              cpu->cell_compares += static_cast<int64_t>(bm2.cell_count);
-            }
-            for (int64_t k = 0; k < bm2.cell_count; ++k) {
-              TEXTJOIN_RETURN_IF_ERROR(process_cell(cells2[k]));
-            }
-          }
-        } else {
-          int64_t newly2 = 0;
-          TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells2,
-                                    e2.All(&newly2));
-          if (cpu != nullptr) {
-            cpu->cells_decoded += newly2;
-            cpu->cell_compares += static_cast<int64_t>(cells2->size());
-          }
-          for (const ICell& oc : *cells2) {
-            TEXTJOIN_RETURN_IF_ERROR(process_cell(oc));
-          }
+        // Vectorized contributions, sequential in-document-order scatter
+        // — bit-identical to the scalar accumulation loop.
+        kernel::Active().scale_cells(e1.data(), n1, w2, factor,
+                                     contribs.data());
+        for (int64_t k = 0; k < n1; ++k) {
+          const ICell& icell = e1[static_cast<size_t>(k)];
+          if (!inner_member.empty() && !inner_member[icell.doc]) continue;
+          acc[base | icell.doc] += contribs[static_cast<size_t>(k)];
         }
       }
     }
@@ -540,8 +149,9 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
 
     // Emit results for this pass's subcollection, ascending by document.
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "VVM matrix partition"));
-    const size_t lo = slice_lo;
-    const size_t hi = slice_hi;
+    const size_t lo = static_cast<size_t>(pass * per_pass);
+    const size_t hi = std::min(participating.size(),
+                               static_cast<size_t>((pass + 1) * per_pass));
     std::unordered_map<DocId, TopKAccumulator> heaps;
     for (size_t i = lo; i < hi; ++i) {
       heaps.emplace(participating[i], TopKAccumulator(spec.lambda));
@@ -558,14 +168,6 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
     for (size_t i = lo; i < hi; ++i) {
       result.push_back(OuterMatches{participating[i],
                                     heaps.at(participating[i]).TakeSorted()});
-    }
-  }
-  if (stats != nullptr && suppress) {
-    stats->SetCounter("suppressed_candidates", suppressed_candidates);
-    stats->SetCounter("theta_rebuilds", theta_rebuilds);
-    if (block_feature) {
-      stats->SetCounter("blocks_skipped", blocks_skipped);
-      stats->SetCounter("accumulators_trimmed", pairs_trimmed);
     }
   }
   return result;

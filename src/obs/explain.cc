@@ -288,32 +288,18 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
   }
   if (stats.root.cpu.any_pruning()) {
     const CpuStats& c = stats.root.cpu;
-    char buf[256];
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "pruning: bound_checks=%lld pairs_pruned=%lld "
-                  "early_exits=%lld suppressed=%lld blocks_skipped=%lld "
-                  "trimmed=%lld\n",
+                  "early_exits=%lld\n",
                   static_cast<long long>(c.bound_checks),
                   static_cast<long long>(c.pairs_pruned),
-                  static_cast<long long>(c.early_exits),
-                  static_cast<long long>(c.candidates_suppressed),
-                  static_cast<long long>(c.blocks_skipped),
-                  static_cast<long long>(c.accumulators_trimmed));
+                  static_cast<long long>(c.early_exits));
     out += buf;
   }
-  if (plan.inputs.pruning_rate > 0) {
-    CpuEstimate est;
-    switch (plan.algorithm) {
-      case Algorithm::kHhnl:
-        est = HhnlCpuCost(plan.inputs);
-        break;
-      case Algorithm::kHvnl:
-        est = HvnlCpuCost(plan.inputs);
-        break;
-      case Algorithm::kVvm:
-        est = VvmCpuCost(plan.inputs);
-        break;
-    }
+  // Only HHNL prunes, so only its CPU estimate depends on the rate.
+  if (plan.algorithm == Algorithm::kHhnl && plan.inputs.pruning_rate > 0) {
+    const CpuEstimate est = HhnlCpuCost(plan.inputs);
     char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "predicted cpu: total=%.0f  measured=%.0f  err vs pred:%s  "

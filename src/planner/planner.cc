@@ -43,12 +43,9 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;
   }
-  // CPU-model pruning knobs: the predicted CPU cost discounts the work the
-  // executor's top-lambda bounds are expected to skip.
-  in.block_skip = spec.pruning.block_skip;
-  if (spec.pruning.bound_skip || spec.pruning.early_exit) {
-    in.pruning_rate = ExpectedPruningRate(in);
-  }
+  // HHNL's predicted CPU cost discounts the work its top-lambda bounds are
+  // expected to skip.
+  in.pruning_rate = ExpectedPruningRate(in);
 
   PlanChoice choice;
   choice.inputs = in;

@@ -13,7 +13,6 @@
 #include "exec/governor.h"
 #include "exec/retry_admission.h"
 #include "index/inverted_file.h"
-#include "join/pruning.h"
 #include "join/similarity.h"
 #include "join/topk.h"
 #include "obs/query_stats.h"
@@ -121,7 +120,6 @@ struct ServeQuery {
   std::vector<DCell> cells;
   int64_t lambda = 10;
   SimilarityConfig similarity;
-  PruningConfig pruning;
   // Per-query deadline (0 = the admission default / none).
   double deadline_ms = 0;
   // Simulated arrival time. Queries may be submitted in any order; Run()

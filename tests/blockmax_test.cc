@@ -1,8 +1,9 @@
-// Block-max posting traversal: block metadata correctness, the
-// PostingCursor skipping primitives, blocks-on/off bit-identity across all
-// executors (seed-swept via TEXTJOIN_STRESS_SEED, see scripts/check.sh
-// stress), and the float max-weight regression — sub-1.0 (idf-scaled)
-// bounds must survive quantization instead of truncating to zero.
+// Posting blocks: block metadata correctness and its catalog round trip,
+// exactness of every executor over every posting format and of the
+// multi-pass VVM shape (seed-swept via TEXTJOIN_STRESS_SEED, see
+// scripts/check.sh stress), and the float max-weight regression — sub-1.0
+// (idf-scaled) bounds must survive quantization instead of truncating to
+// zero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,9 @@
 
 #include "catalog/catalog.h"
 #include "index/inverted_file.h"
-#include "index/posting_cursor.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
-#include "join/pruning.h"
 #include "join/vvm.h"
-#include "obs/query_stats.h"
 #include "storage/disk_manager.h"
 #include "test_util.h"
 
@@ -25,11 +23,10 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
-using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
 // `scripts/check.sh stress` re-runs this binary under several seed
-// offsets, so the bit-identity sweep explores different collections.
+// offsets, so the exactness sweeps explore different collections.
 uint64_t SeedOffset() {
   const char* s = std::getenv("TEXTJOIN_STRESS_SEED");
   return s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
@@ -153,91 +150,7 @@ TEST(BlockMetadataTest, CatalogRoundTripPreservesBlockSummaries) {
 }
 
 // ---------------------------------------------------------------------------
-// PostingCursor.
-
-// NextGEQ must agree with a lower_bound over the fully decoded entry for
-// every target, while skipping blocks undecoded on long jumps.
-TEST(PostingCursorTest, NextGEQAgreesWithFullDecode) {
-  for (const PostingCompression comp :
-       {PostingCompression::kNone, PostingCompression::kDeltaVarint,
-        PostingCompression::kGroupVarint}) {
-    SimulatedDisk disk(256);
-    auto col = RandomCollection(&disk, "col", 200, 8, 30, 9);
-    InvertedFile index = BuildIndex(&disk, "col.inv", col, comp);
-
-    // The longest entry: several blocks, so skipping has room to act.
-    int64_t longest = 0;
-    for (int64_t i = 0; i < index.num_terms(); ++i) {
-      if (index.entries()[i].cell_count >
-          index.entries()[longest].cell_count) {
-        longest = i;
-      }
-    }
-    const auto& meta = index.entries()[longest];
-    ASSERT_GE(meta.blocks.size(), 3u);
-    auto ref = index.FetchEntry(meta.term);
-    ASSERT_TRUE(ref.ok());
-
-    // Plain forward walk visits every cell in order.
-    {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      for (const ICell& c : *ref) {
-        ASSERT_FALSE(cur.done());
-        EXPECT_EQ(cur.current().doc, c.doc);
-        EXPECT_EQ(cur.current().weight, c.weight);
-        ASSERT_TRUE(cur.Next().ok());
-      }
-      EXPECT_TRUE(cur.done());
-      EXPECT_EQ(cur.cells_decoded(), meta.cell_count);
-      EXPECT_EQ(cur.blocks_skipped(), 0);
-    }
-
-    // NextGEQ from a fresh cursor, for every target in the doc range plus
-    // one past the end.
-    for (DocId target = 0; target <= ref->back().doc + 1; target += 3) {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.NextGEQ(target).ok());
-      auto it = std::lower_bound(
-          ref->begin(), ref->end(), target,
-          [](const ICell& c, DocId d) { return c.doc < d; });
-      if (it == ref->end()) {
-        EXPECT_TRUE(cur.done()) << "target " << target;
-      } else {
-        ASSERT_FALSE(cur.done()) << "target " << target;
-        EXPECT_EQ(cur.current().doc, it->doc);
-        EXPECT_EQ(cur.current().weight, it->weight);
-      }
-    }
-
-    // A jump straight to the last block's span passes over the middle
-    // blocks without decoding them.
-    {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.NextGEQ(meta.blocks.back().first_doc).ok());
-      ASSERT_FALSE(cur.done());
-      EXPECT_GE(cur.blocks_skipped(), 1);
-      EXPECT_LT(cur.cells_decoded(), meta.cell_count);
-    }
-
-    // SkipToBlock positions at the block's first cell.
-    {
-      const int64_t last = static_cast<int64_t>(meta.blocks.size()) - 1;
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.SkipToBlock(last).ok());
-      ASSERT_FALSE(cur.done());
-      EXPECT_EQ(cur.current().doc, meta.blocks.back().first_doc);
-      EXPECT_EQ(cur.current_block(), last);
-      EXPECT_EQ(cur.current_block_max(), meta.blocks.back().max_weight);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Blocks-on/off bit-identity.
+// Exactness over every posting format.
 
 struct Executors {
   HhnlJoin hhnl;
@@ -268,11 +181,10 @@ JoinContext MakeContext(SimulatedDisk* disk, const DocumentCollection& inner,
   return ctx;
 }
 
-// Block-max skipping is an optimization, never a semantics change: with
-// every other pruning layer on, blocks on and off must produce the same
-// result — scores AND tie-breaks — across executors, weighting schemes and
-// both posting representations, and both must match brute force.
-TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
+// The posting format is a storage choice, never a semantics change: every
+// executor must match brute force bit for bit — scores AND tie-breaks —
+// across weighting schemes and all three posting representations.
+TEST(PostingFormatExactnessTest, EveryExecutorMatchesBruteForce) {
   const uint64_t seed = SeedOffset();
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
@@ -296,24 +208,18 @@ TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
 
       Executors ex;
       for (auto [label, algo] : ex.all()) {
-        spec.pruning = PruningConfig{};
-        spec.pruning.block_skip = false;
-        auto off = algo->Run(ctx, spec);
-        ASSERT_TRUE(off.ok()) << label << ": " << off.status();
-        spec.pruning.block_skip = true;
-        auto on = algo->Run(ctx, spec);
-        ASSERT_TRUE(on.ok()) << label << ": " << on.status();
-        EXPECT_EQ(*off, expected) << label;
-        EXPECT_EQ(*on, *off) << label << ": blocks-on result differs";
+        auto got = algo->Run(ctx, spec);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+        EXPECT_EQ(*got, expected) << label;
       }
     }
   }
 }
 
-// The multi-pass VVM shape: a small buffer forces several matrix passes,
-// and dense multi-block outer entries give pass-slice skipping real work.
-// The skips must show up in the counters without perturbing the result.
-TEST(BlockMaxIdentityTest, MultiPassVvmSkipsBlocksAndStaysExact) {
+// The multi-pass VVM shape: a small buffer forces several matrix passes
+// over dense multi-block outer entries. Each pass must emit exactly its
+// slice of the brute-force result.
+TEST(PostingFormatExactnessTest, MultiPassVvmStaysExact) {
   const uint64_t seed = SeedOffset();
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
@@ -330,23 +236,13 @@ TEST(BlockMaxIdentityTest, MultiPassVvmSkipsBlocksAndStaysExact) {
                                   outer_index, *simctx, /*buffer_pages=*/8);
     JoinSpec spec;
     spec.lambda = 4;
+    ASSERT_GT(VvmJoin::Passes(ctx, spec), 1);
     JoinResult expected = BruteForceJoin(inner, outer, *simctx, spec);
 
     VvmJoin vvm;
-    spec.pruning = PruningConfig{};
-    spec.pruning.block_skip = false;
-    auto off = vvm.Run(ctx, spec);
-    ASSERT_TRUE(off.ok()) << off.status();
-
-    QueryStatsCollector collector(&disk);
-    ctx.stats = &collector;
-    spec.pruning.block_skip = true;
-    auto on = vvm.Run(ctx, spec);
-    ASSERT_TRUE(on.ok()) << on.status();
-    EXPECT_EQ(*off, expected);
-    EXPECT_EQ(*on, *off) << "blocks-on result differs on the multi-pass run";
-    EXPECT_GT(collector.Finish().root.cpu.blocks_skipped, 0)
-        << "pass-slice skipping never engaged";
+    auto got = vvm.Run(ctx, spec);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected);
   }
 }
 
@@ -371,70 +267,6 @@ TEST(MaxWeightRegressionTest, SubUnitBoundsSurviveQuantization) {
   // The regression: the old int32 field truncated any sub-1.0 bound to
   // zero, so a zero "upper bound" hid real candidates from admission.
   EXPECT_EQ(static_cast<float>(static_cast<int32_t>(bound)), 0.0f);
-}
-
-TEST(MaxWeightRegressionTest, SubUnitBlockMaximaBoundAndSuppressExactly) {
-  // Hand-authored metadata with fractional maxima — Build only produces
-  // integer cell weights, but idf-scaled summaries are fractional.
-  InvertedFile::EntryMeta e;
-  e.max_weight = QuantizeMaxWeight(0.75);
-  e.blocks = {
-      InvertedFile::PostingBlockMeta{0, 9, 10, 0, QuantizeMaxWeight(0.25)},
-      InvertedFile::PostingBlockMeta{20, 29, 10, 30, QuantizeMaxWeight(0.75)},
-  };
-
-  // Covering blocks report their fractional maxima; documents in the gap
-  // or past the end are provably absent.
-  EXPECT_EQ(MaxWeightForDoc(e, 0), QuantizeMaxWeight(0.25));
-  EXPECT_EQ(MaxWeightForDoc(e, 5), QuantizeMaxWeight(0.25));
-  EXPECT_EQ(MaxWeightForDoc(e, 29), QuantizeMaxWeight(0.75));
-  EXPECT_EQ(MaxWeightForDoc(e, 15), 0.0f);
-  EXPECT_EQ(MaxWeightForDoc(e, 30), 0.0f);
-
-  // Admission against a threshold of 0.5: the 0.75 block admits its
-  // candidates (an int32-truncated bound of 0 would wrongly refuse them)
-  // while the 0.25 block still suppresses — sub-1.0 maxima keep both
-  // directions of the decision exact.
-  const float theta = 0.5f;
-  EXPECT_GE(MaxWeightForDoc(e, 25), theta);
-  EXPECT_LT(MaxWeightForDoc(e, 5), theta);
-  EXPECT_LT(static_cast<float>(static_cast<int32_t>(0.75)), theta);
-
-  // No blocks recorded: the entry-level bound is the fallback.
-  InvertedFile::EntryMeta flat;
-  flat.max_weight = QuantizeMaxWeight(0.6);
-  EXPECT_EQ(MaxWeightForDoc(flat, 17), QuantizeMaxWeight(0.6));
-}
-
-// End to end: under cosine+idf weighting every bound the suppression layer
-// computes is idf-scaled (fractional); suppression must still fire and the
-// pruned run must stay bit-identical to both the unpruned run and brute
-// force.
-TEST(MaxWeightRegressionTest, FractionalIdfBoundsStillSuppress) {
-  SimulatedDisk disk(256);
-  auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 5, 40, 11),
-                       RandomCollection(&disk, "c2", 20, 4, 40, 12),
-                       SimilarityConfig{true, true});
-  JoinSpec spec;
-  spec.lambda = 3;
-  JoinContext ctx = f->Context(60);
-  JoinResult expected = BruteForceJoin(f->inner, f->outer, f->simctx, spec);
-
-  HvnlJoin hvnl;
-  spec.pruning = PruningConfig::Disabled();
-  auto unpruned = hvnl.Run(ctx, spec);
-  ASSERT_TRUE(unpruned.ok()) << unpruned.status();
-
-  QueryStatsCollector collector(&disk);
-  ctx.stats = &collector;
-  spec.pruning = PruningConfig{};
-  auto pruned = hvnl.Run(ctx, spec);
-  ASSERT_TRUE(pruned.ok()) << pruned.status();
-
-  EXPECT_EQ(*unpruned, expected);
-  EXPECT_EQ(*pruned, *unpruned);
-  EXPECT_GT(collector.Finish().root.cpu.candidates_suppressed, 0)
-      << "fractional bounds never suppressed anything";
 }
 
 }  // namespace

@@ -46,15 +46,16 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 
 // The key structural property: all three algorithms perform EXACTLY the
 // same number of similarity accumulations — one per (pair, common term).
+// HVNL and VVM accumulate every candidate at any lambda; HHNL's bounds can
+// only skip work once a heap is full, so it runs with lambda >= N1.
 TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 50, 6, 60, 71),
                        RandomCollection(&disk, "c2", 35, 5, 60, 72));
   JoinSpec spec;
   spec.lambda = 4;
-  // The invariant holds for the exhaustive accumulation; pruning skips
-  // provably-losing work per algorithm, which is tested in pruning_test.
-  spec.pruning = PruningConfig::Disabled();
+  JoinSpec full = spec;
+  full.lambda = f->inner.num_documents();
 
   int64_t expected = 0;  // sum over shared terms of df1 * df2
   for (const auto& [term, df2] : f->outer.doc_freq_map()) {
@@ -68,7 +69,7 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
     Result<JoinResult> r(Status::OK());
     if (pass == 0) {
       HhnlJoin join;
-      r = join.Run(ctx, spec);
+      r = join.Run(ctx, full);
     } else if (pass == 1) {
       HvnlJoin join;
       r = join.Run(ctx, spec);
@@ -87,8 +88,9 @@ TEST(CpuCountingTest, HhnlComparesBoundedByCellSums) {
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 6, 50, 73),
                        RandomCollection(&disk, "c2", 20, 5, 50, 74));
   JoinSpec spec;
-  spec.lambda = 3;
-  spec.pruning = PruningConfig::Disabled();  // the bound needs full merges
+  // The bound needs full merges: with lambda >= N1 no heap fills, so
+  // HHNL's pruning never skips a pair or cuts a merge short.
+  spec.lambda = f->inner.num_documents();
   QueryStatsCollector collector(&disk);
   JoinContext ctx = f->Context(100);
   ctx.stats = &collector;
@@ -114,20 +116,10 @@ TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
   VvmJoin join;
   int64_t passes = VvmJoin::Passes(ctx, spec);
   ASSERT_GT(passes, 1);
-  // Block-max traversal (pruning.block_skip) leaves posting blocks
-  // undecoded once admission closes, so full decode only holds without it.
-  spec.pruning.block_skip = false;
   ASSERT_TRUE(join.Run(ctx, spec).ok());
   const CpuStats cpu = collector.Finish().root.cpu;
   EXPECT_EQ(cpu.cells_decoded,
             passes * (f->inner.total_cells() + f->outer.total_cells()));
-
-  // With block skipping, decode work can only go down — never up.
-  QueryStatsCollector blocked(&disk);
-  ctx.stats = &blocked;
-  spec.pruning.block_skip = true;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
-  EXPECT_LE(blocked.Finish().root.cpu.cells_decoded, cpu.cells_decoded);
 }
 
 TEST(CpuCountingTest, NullCpuPointerCountsNothing) {
@@ -147,8 +139,8 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 80, 8, 120, 79),
                        RandomCollection(&disk, "c2", 60, 6, 120, 80));
   JoinSpec spec;
-  spec.lambda = 5;
-  spec.pruning = PruningConfig::Disabled();  // unpruned estimates below
+  // Unpruned estimates below: with lambda >= N1 HHNL prunes nothing.
+  spec.lambda = f->inner.num_documents();
   CostInputs in = InputsFor(*f, 100, spec);
 
   auto check = [](double measured, double estimated, double band,
@@ -244,18 +236,14 @@ TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
   // worth modeling at all.
   EXPECT_LT(pruned.Total(), base.Total());
 
-  const CpuEstimate hv_base = HvnlCpuCost(in);
+  // HVNL and VVM accumulate every candidate: the rate must not move them.
+  const CpuEstimate hv_rated = HvnlCpuCost(in);
+  const CpuEstimate vv_rated = VvmCpuCost(in);
   in.pruning_rate = 0;
-  const CpuEstimate hv_unpruned = HvnlCpuCost(in);
-  EXPECT_LT(hv_base.accumulations, hv_unpruned.accumulations);
-  EXPECT_DOUBLE_EQ(hv_base.cells_decoded, hv_unpruned.cells_decoded);
-
-  in.pruning_rate = ExpectedPruningRate(in);
-  const CpuEstimate vv_pruned = VvmCpuCost(in);
-  in.pruning_rate = 0;
-  const CpuEstimate vv_unpruned = VvmCpuCost(in);
-  EXPECT_LT(vv_pruned.accumulations, vv_unpruned.accumulations);
-  EXPECT_DOUBLE_EQ(vv_pruned.cells_decoded, vv_unpruned.cells_decoded);
+  EXPECT_DOUBLE_EQ(hv_rated.Total(), HvnlCpuCost(in).Total());
+  EXPECT_DOUBLE_EQ(vv_rated.Total(), VvmCpuCost(in).Total());
+  EXPECT_DOUBLE_EQ(hv_rated.bound_checks, 0.0);
+  EXPECT_DOUBLE_EQ(vv_rated.bound_checks, 0.0);
 }
 
 TEST(CpuModelTest, AccumulationEstimateConsistentAcrossAlgorithms) {

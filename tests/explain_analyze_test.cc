@@ -47,11 +47,9 @@ CostInputs InputsFor(const JoinFixture& f, const JoinContext& ctx,
   in.query.lambda = spec.lambda;
   in.query.delta = spec.delta;
   in.q = MeasuredTermOverlap(f.outer, f.inner);
-  // Mirror JoinPlanner::Plan: the default JoinSpec has pruning enabled, so
-  // the report carries the pruning counters and the predicted-CPU line.
-  if (spec.pruning.bound_skip || spec.pruning.early_exit) {
-    in.pruning_rate = ExpectedPruningRate(in);
-  }
+  // Mirror JoinPlanner::Plan, which always sets HHNL's expected pruning
+  // rate (the predicted-CPU line renders for HHNL when it is positive).
+  in.pruning_rate = ExpectedPruningRate(in);
   return in;
 }
 
@@ -102,7 +100,7 @@ phase                   pred.seq  pred.rand   measured   err.seq
       counters: batch_size_X=88 outer_batches=1 bound_tightness_pct=30
 
 cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0 suppressed=0 blocks_skipped=0 trimmed=0
+pruning: bound_checks=600 pairs_pruned=2 early_exits=0
 )",
       Render(hhnl));
 }
@@ -123,7 +121,7 @@ phase                   pred.seq  pred.rand   measured   err.seq
       counters: batch_size_X=103 inner_batches=1 bound_tightness_pct=30
 
 cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0 suppressed=0 blocks_skipped=0 trimmed=0
+pruning: bound_checks=600 pairs_pruned=2 early_exits=0
 )",
       Render(hhnl, /*hhnl_backward=*/true));
 }
@@ -142,10 +140,9 @@ phase                     pred.seq  pred.rand   measured   err.seq
   load btree                  2.00       2.00       7.00   +250.0%
   probe inverted entries      2.93       2.93       7.00   +138.9%
   (query)
-      counters: cache_capacity_X=79 directory_probes=80 entry_fetches=0 cache_hits=69 evictions=0 suppressed_candidates=54 theta_rebuilds=20 blocks_skipped=2 accumulators_trimmed=58
+      counters: cache_capacity_X=79 directory_probes=80 entry_fetches=0 cache_hits=69 evictions=0
 
-cpu: CpuStats{compares=657, accum=586, heap=361, decoded=121}
-pruning: bound_checks=559 pairs_pruned=0 early_exits=0 suppressed=54 blocks_skipped=2 trimmed=58
+cpu: CpuStats{compares=642, accum=642, heap=464, decoded=122}
 )",
       Render(hvnl));
 }
@@ -162,10 +159,9 @@ alternatives: HHNL(seq=4.49 rand=8.49) HVNL(seq=6.49 rand=10.49)
 phase                   pred.seq  pred.rand   measured   err.seq
   merge scan                4.49      22.46      13.00   +189.4%
   (query)
-      counters: passes=1 suppressed_candidates=0 theta_rebuilds=0 blocks_skipped=0 accumulators_trimmed=0
+      counters: passes=1
 
 cpu: CpuStats{compares=711, accum=642, heap=464, decoded=230}
-pruning: bound_checks=23 pairs_pruned=0 early_exits=0 suppressed=0 blocks_skipped=0 trimmed=0
 )",
       Render(vvm));
 }
