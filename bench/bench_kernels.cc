@@ -19,6 +19,7 @@
 // pins. The machine-independent counters stay in the simulated CPU model;
 // kernel::Calibrated() is the bridge between the two.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -84,23 +85,30 @@ std::vector<ICell> SyntheticCells(int64_t n, uint64_t seed) {
   return cells;
 }
 
-struct EncodedList {
+std::vector<uint8_t> Encode(const std::vector<ICell>& cells,
+                            PostingCompression compression) {
   std::vector<uint8_t> bytes;
-  std::vector<InvertedFile::PostingBlockMeta> blocks;
-};
-
-EncodedList Encode(const std::vector<ICell>& cells,
-                   PostingCompression compression) {
-  EncodedList e;
-  EncodePostings(cells, compression, &e.bytes, &e.blocks);
-  return e;
+  EncodePostings(cells, compression, &bytes);
+  return bytes;
 }
 
-int64_t BlockLength(const EncodedList& e, size_t b) {
-  const int64_t end = b + 1 < e.blocks.size() ? e.blocks[b + 1].offset_bytes
-                                              : static_cast<int64_t>(
-                                                    e.bytes.size());
-  return end - e.blocks[b].offset_bytes;
+// Decodes a whole group-varint list with one level's kernel, group after
+// group: each 64-cell group is self-delimiting, so `consumed` locates the
+// next one, exactly as DecodePostings walks an entry.
+Status GvDecodeList(const kernel::KernelTable& k,
+                    const std::vector<uint8_t>& bytes, int64_t n,
+                    ICell* out) {
+  const uint8_t* p = bytes.data();
+  int64_t left = static_cast<int64_t>(bytes.size());
+  for (int64_t done = 0; done < n; done += kPostingBlockCells) {
+    int64_t consumed = 0;
+    TEXTJOIN_RETURN_IF_ERROR(
+        k.gv_decode(p, left, std::min(n - done, kPostingBlockCells),
+                    out + done, &consumed));
+    p += consumed;
+    left -= consumed;
+  }
+  return Status::OK();
 }
 
 struct Cell {
@@ -131,28 +139,23 @@ void Main(bool smoke, bool json) {
   const int64_t num_blocks = smoke ? 256 : 2048;
   const int64_t n = num_blocks * kBlock;
   const std::vector<ICell> cells = SyntheticCells(n, 42);
-  const EncodedList varint = Encode(cells, PostingCompression::kDeltaVarint);
-  const EncodedList gv = Encode(cells, PostingCompression::kGroupVarint);
+  const std::vector<uint8_t> varint =
+      Encode(cells, PostingCompression::kDeltaVarint);
+  const std::vector<uint8_t> gv =
+      Encode(cells, PostingCompression::kGroupVarint);
   const std::vector<kernel::Level> levels = kernel::AvailableLevels();
 
   // ---- Bit-identity gate: every level must reproduce the scalar output
   // exactly before any of them is timed.
-  std::vector<ICell> reference;
-  TEXTJOIN_CHECK_OK(DecodePostings(varint.bytes.data(),
-                                   static_cast<int64_t>(varint.bytes.size()),
-                                   n, PostingCompression::kDeltaVarint)
+  TEXTJOIN_CHECK_OK(DecodePostings(varint.data(),
+                                   static_cast<int64_t>(varint.size()), n,
+                                   PostingCompression::kDeltaVarint)
                         .status());
   for (kernel::Level level : levels) {
     const kernel::KernelTable& k = kernel::TableFor(level);
     std::vector<ICell> got(static_cast<size_t>(n));
-    for (size_t b = 0; b < gv.blocks.size(); ++b) {
-      const auto& bm = gv.blocks[b];
-      int64_t consumed = 0;
-      Status s = k.gv_decode(gv.bytes.data() + bm.offset_bytes,
-                             BlockLength(gv, b), bm.cell_count,
-                             got.data() + static_cast<int64_t>(b) * kBlock,
-                             &consumed);
-      if (!s.ok()) Fatal("gv_decode status", k.name);
+    if (!GvDecodeList(k, gv, n, got.data()).ok()) {
+      Fatal("gv_decode status", k.name);
     }
     if (!SameCells(got, cells)) Fatal("gv_decode output", k.name);
   }
@@ -190,24 +193,17 @@ void Main(bool smoke, bool json) {
     }
   }
 
-  // ---- Timing. The baseline first: scalar varint block decode, the path
-  // every pre-SIMD build ran.
+  // ---- Timing. The baseline first: scalar varint decode of the whole
+  // list, the path every pre-SIMD build ran. Every decode writes the
+  // whole list into the same caller-owned buffer.
   std::vector<Cell> results;
-  kernel::ICellBuffer scratch(static_cast<size_t>(kBlock));
-  const auto decode_list = [&](const EncodedList& e, auto&& decode_block) {
-    for (size_t b = 0; b < e.blocks.size(); ++b) {
-      decode_block(e.bytes.data() + e.blocks[b].offset_bytes,
-                   BlockLength(e, b), e.blocks[b].cell_count);
-    }
-  };
+  kernel::ICellBuffer scratch(static_cast<size_t>(n));
   double varint_cells_per_sec = 0;
   {
     const double ns = MeasureNs([&] {
-      decode_list(varint, [&](const uint8_t* p, int64_t len, int64_t count) {
-        TEXTJOIN_CHECK_OK(DecodePostingBlockInto(
-            p, len, count, PostingCompression::kDeltaVarint,
-            scratch.data()));
-      });
+      TEXTJOIN_CHECK_OK(DecodePostingsInto(
+          varint.data(), static_cast<int64_t>(varint.size()), n,
+          PostingCompression::kDeltaVarint, scratch.data()));
     });
     varint_cells_per_sec = static_cast<double>(n) / (ns * 1e-9);
     results.push_back(
@@ -219,13 +215,8 @@ void Main(bool smoke, bool json) {
   for (kernel::Level level : levels) {
     const kernel::KernelTable& k = kernel::TableFor(level);
     {
-      const double ns = MeasureNs([&] {
-        decode_list(gv, [&](const uint8_t* p, int64_t len, int64_t count) {
-          int64_t consumed = 0;
-          TEXTJOIN_CHECK_OK(
-              k.gv_decode(p, len, count, scratch.data(), &consumed));
-        });
-      });
+      const double ns = MeasureNs(
+          [&] { TEXTJOIN_CHECK_OK(GvDecodeList(k, gv, n, scratch.data())); });
       const double cps = static_cast<double>(n) / (ns * 1e-9);
       if (cps > best_gv_cells_per_sec) best_gv_cells_per_sec = cps;
       results.push_back(Cell{"gv_decode", k.name,

@@ -24,7 +24,7 @@ namespace textjoin {
 
 // Process-wide heap-allocation counter, bumped by the replaced global
 // operator new below. BM_BlockDecodeZeroAlloc diffs it across the timed
-// loop to prove the steady-state block-decode path never allocates.
+// loop to prove the steady-state posting-decode path never allocates.
 std::atomic<int64_t> g_heap_allocs{0};
 
 namespace {
@@ -94,10 +94,11 @@ struct TrivialCollections {
 };
 
 // The galloping switch in one picture: sweep the document length ratio
-// with the linear walk (arg 0: WeightedDotDetailed) and with the kernel
-// that picks by length (arg 1: WeightedDotKernel). Linear pays short+long
-// steps per pair, galloping short*(2*log2(ratio)+2); WeightedDotKernel
-// switches at kGallopSizeRatio. Both produce bit-identical sums.
+// with the linear walk (arg 0: WeightedDotDetailed) and with HHNL's merge,
+// which picks by length (arg 1: WeightedDotPruned against a heap that is
+// not full, so it never exits early). Linear pays short+long steps per
+// pair, galloping short*(2*log2(ratio)+2); the switch is at
+// kGallopSizeRatio. Both produce bit-identical sums.
 void BM_MergeSkew(benchmark::State& state) {
   const int64_t skew = state.range(0);
   const bool by_length = state.range(1) != 0;
@@ -108,10 +109,16 @@ void BM_MergeSkew(benchmark::State& state) {
   auto ctx = SimilarityContext::Create(cols.c1, cols.c2, {});
   Document a = MakeDoc(short_terms, long_terms * 4, 1);
   Document b = MakeDoc(long_terms, long_terms * 4, 2);
+  SuffixBounds sa, sb;
+  sa.Build(a, *ctx);
+  sb.Build(b, *ctx);
+  const TopKAccumulator heap(1);
   int64_t steps = 0;
   for (auto _ : state) {
-    DotDetail d = by_length ? WeightedDotKernel(a, b, *ctx)
-                            : WeightedDotDetailed(a, b, *ctx);
+    DotDetail d =
+        by_length
+            ? WeightedDotPruned(a, b, *ctx, sa, sb, 1.0, 0, heap).detail
+            : WeightedDotDetailed(a, b, *ctx);
     steps = d.merge_steps;
     benchmark::DoNotOptimize(d.acc);
   }
@@ -209,34 +216,28 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
 
-// The steady-state block-decode path must not allocate: the caller sizes
-// its cell buffer once and DecodePostingBlockInto fills that caller-owned
-// storage, so per-block decode work is pure compute. The
+// The steady-state posting-decode path must not allocate: the caller
+// sizes its cell buffer once and DecodePostingsInto fills that
+// caller-owned storage, so decoding an entry is pure compute. The
 // replaced global operator new (bottom of this file) counts every heap
-// allocation in the process; allocs_per_iter over 64 decoded blocks must
+// allocation in the process; allocs_per_iter over a 64-group entry must
 // read 0.000 for both representations.
 void BM_BlockDecodeZeroAlloc(benchmark::State& state) {
   const auto compression = static_cast<PostingCompression>(state.range(0));
-  const int64_t num_blocks = 64;
+  const int64_t num_cells = 64 * kPostingBlockCells;
   std::vector<ICell> cells;
-  for (int64_t i = 0; i < num_blocks * kPostingBlockCells; ++i) {
+  for (int64_t i = 0; i < num_cells; ++i) {
     cells.push_back(
         ICell{static_cast<DocId>(i * 3), static_cast<Weight>(1 + i % 9)});
   }
   std::vector<uint8_t> bytes;
-  std::vector<InvertedFile::PostingBlockMeta> blocks;
-  EncodePostings(cells, compression, &bytes, &blocks);
-  kernel::ICellBuffer scratch(static_cast<size_t>(kPostingBlockCells));
+  EncodePostings(cells, compression, &bytes);
+  kernel::ICellBuffer scratch(static_cast<size_t>(num_cells));
   const auto decode_all = [&] {
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      const int64_t end = b + 1 < blocks.size()
-                              ? blocks[b + 1].offset_bytes
-                              : static_cast<int64_t>(bytes.size());
-      TEXTJOIN_CHECK_OK(DecodePostingBlockInto(
-          bytes.data() + blocks[b].offset_bytes,
-          end - blocks[b].offset_bytes, blocks[b].cell_count, compression,
-          scratch.data()));
-    }
+    TEXTJOIN_CHECK_OK(DecodePostingsInto(bytes.data(),
+                                         static_cast<int64_t>(bytes.size()),
+                                         num_cells, compression,
+                                         scratch.data()));
   };
   decode_all();  // warm up before the allocation snapshot
   const int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -249,8 +250,7 @@ void BM_BlockDecodeZeroAlloc(benchmark::State& state) {
   state.counters["allocs_per_iter"] =
       static_cast<double>(allocs) /
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
-  state.SetItemsProcessed(state.iterations() * num_blocks *
-                          kPostingBlockCells);
+  state.SetItemsProcessed(state.iterations() * num_cells);
 }
 BENCHMARK(BM_BlockDecodeZeroAlloc)
     ->Arg(static_cast<int64_t>(PostingCompression::kDeltaVarint))

@@ -31,8 +31,32 @@
 #                               kernel bit-identity gate + throughput
 #                               measurement, refreshes BENCH_kernels.json
 #                               via scripts/bench_json.sh
+#   scripts/check.sh loc [BASE] line count of src/ .cc/.h files in the
+#                               working tree, and lines added/removed
+#                               against the git revision BASE (default
+#                               HEAD), untracked files included; builds
+#                               nothing
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "loc" ]; then
+  base="${2:-HEAD}"
+  if ! git rev-parse --verify --quiet "${base}^{commit}" > /dev/null; then
+    echo "unknown revision: ${base}" >&2
+    exit 2
+  fi
+  total=$(find src \( -name '*.cc' -o -name '*.h' \) -print0 |
+            xargs -0 cat | wc -l)
+  read -r added removed < <(
+    {
+      git diff --numstat "${base}" -- 'src/*.cc' 'src/*.h'
+      git ls-files --others --exclude-standard -- 'src/*.cc' 'src/*.h' |
+        while read -r f; do echo "$(wc -l < "$f") 0 $f"; done
+    } | awk '{a += $1; r += $2} END {print a + 0, r + 0}')
+  echo "src/ .cc/.h lines: ${total} (${base}: $((total - added + removed));" \
+       "+${added} / -${removed} = $((added - removed)))"
+  exit 0
+fi
 
 if [ "${1:-}" = "sanitize" ]; then
   cmake -B build-sanitize -G Ninja -DTEXTJOIN_SANITIZE=ON

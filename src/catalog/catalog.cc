@@ -11,7 +11,16 @@ namespace textjoin {
 namespace {
 
 constexpr uint32_t kCollectionMagic = 0x544A4343;  // "TJCC"
-constexpr uint32_t kInvertedMagic = 0x544A4943;    // "TJIC"
+// "TJI2": the second inverted-file record layout, which dropped the
+// per-entry max weight and per-block summaries of "TJIC" (0x544A4943).
+// An old record fails the magic check instead of being misparsed.
+constexpr uint32_t kInvertedMagic = 0x544A4932;
+
+// Smallest encoding of one record element, used to reject a count the
+// remaining payload cannot hold before anything is reserved for it.
+constexpr size_t kDocumentBytes = 8 + 4 + 8 + 4 + 8;  // dir, norm, bounds
+constexpr size_t kDocFreqBytes = 4 + 8;
+constexpr size_t kEntryBytes = 4 + 8 + 8 + 8;
 
 void PutDouble(std::vector<uint8_t>* dst, double v) {
   uint64_t bits;
@@ -37,6 +46,15 @@ class PayloadReader {
   PayloadReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
 
   bool ok() const { return ok_; }
+
+  // False (and the reader fails) unless `count` elements of at least
+  // `element_bytes` each fit in the unread payload.
+  bool Fits(uint64_t count, size_t element_bytes) {
+    if (!ok_ || count > (bytes_.size() - pos_) / element_bytes) {
+      ok_ = false;
+    }
+    return ok_;
+  }
 
   uint32_t U32() {
     if (!Require(4)) return 0;
@@ -166,6 +184,10 @@ Result<DocumentCollection> OpenCollection(
   PayloadReader r(payload);
   std::string data_name = r.String();
   const uint64_t n = r.U64();
+  if (!r.Fits(n, kDocumentBytes)) {
+    return Status::InvalidArgument(catalog_file_name +
+                                   " has an implausible document count");
+  }
   std::vector<DocumentCollection::DirectoryEntry> directory;
   directory.reserve(n);
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -186,6 +208,10 @@ Result<DocumentCollection> OpenCollection(
     weight_sums.push_back(static_cast<int64_t>(r.U64()));
   }
   const uint64_t terms = r.U64();
+  if (!r.Fits(terms, kDocFreqBytes)) {
+    return Status::InvalidArgument(catalog_file_name +
+                                   " has an implausible term count");
+  }
   std::unordered_map<TermId, int64_t> doc_freq;
   doc_freq.reserve(terms * 2 + 1);
   for (uint64_t i = 0; i < terms && r.ok(); ++i) {
@@ -216,15 +242,6 @@ Status SaveInvertedFileCatalog(const InvertedFile& inverted,
     PutFixed64(&payload, static_cast<uint64_t>(e.offset_bytes));
     PutFixed64(&payload, static_cast<uint64_t>(e.cell_count));
     PutFixed64(&payload, static_cast<uint64_t>(e.byte_length));
-    PutFixed32(&payload, FloatBits(e.max_weight));
-    PutFixed32(&payload, static_cast<uint32_t>(e.blocks.size()));
-    for (const auto& b : e.blocks) {
-      PutFixed32(&payload, b.first_doc);
-      PutFixed32(&payload, b.last_doc);
-      PutFixed32(&payload, static_cast<uint32_t>(b.cell_count));
-      PutFixed64(&payload, static_cast<uint64_t>(b.offset_bytes));
-      PutFixed32(&payload, FloatBits(b.max_weight));
-    }
   }
   const BPlusTree& tree = inverted.btree();
   PutFixed64(&payload, static_cast<uint64_t>(tree.root_page()));
@@ -252,6 +269,10 @@ Result<InvertedFile> OpenInvertedFile(Disk* disk,
   auto compression = static_cast<PostingCompression>(compression_byte);
   int64_t total_bytes = static_cast<int64_t>(r.U64());
   const uint64_t count = r.U64();
+  if (!r.Fits(count, kEntryBytes)) {
+    return Status::InvalidArgument(catalog_file_name +
+                                   " has an implausible entry count");
+  }
   std::vector<InvertedFile::EntryMeta> entries;
   entries.reserve(count);
   for (uint64_t i = 0; i < count && r.ok(); ++i) {
@@ -260,19 +281,7 @@ Result<InvertedFile> OpenInvertedFile(Disk* disk,
     e.offset_bytes = static_cast<int64_t>(r.U64());
     e.cell_count = static_cast<int64_t>(r.U64());
     e.byte_length = static_cast<int64_t>(r.U64());
-    e.max_weight = FloatFromBits(r.U32());
-    const uint32_t num_blocks = r.U32();
-    e.blocks.reserve(num_blocks);
-    for (uint32_t b = 0; b < num_blocks && r.ok(); ++b) {
-      InvertedFile::PostingBlockMeta block;
-      block.first_doc = r.U32();
-      block.last_doc = r.U32();
-      block.cell_count = static_cast<int32_t>(r.U32());
-      block.offset_bytes = static_cast<int64_t>(r.U64());
-      block.max_weight = FloatFromBits(r.U32());
-      e.blocks.push_back(block);
-    }
-    entries.push_back(std::move(e));
+    entries.push_back(e);
   }
   PageNumber root = static_cast<PageNumber>(r.U64());
   int64_t leaf_pages = static_cast<int64_t>(r.U64());

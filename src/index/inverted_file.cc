@@ -36,61 +36,42 @@ Result<std::vector<ICell>> DecodeICells(const uint8_t* bytes,
 }
 
 void EncodePostings(const std::vector<ICell>& cells,
-                    PostingCompression compression, std::vector<uint8_t>* out,
-                    std::vector<InvertedFile::PostingBlockMeta>* blocks) {
+                    PostingCompression compression,
+                    std::vector<uint8_t>* out) {
   out->clear();
-  if (blocks != nullptr) blocks->clear();
-  InvertedFile::PostingBlockMeta block;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const bool block_start = (i % kPostingBlockCells) == 0;
-    if (block_start) {
-      block = InvertedFile::PostingBlockMeta{};
-      block.first_doc = cells[i].doc;
-      block.offset_bytes = static_cast<int64_t>(out->size());
+  const int64_t n = static_cast<int64_t>(cells.size());
+  for (int64_t start = 0; start < n; start += kPostingBlockCells) {
+    const int64_t count = std::min(n - start, kPostingBlockCells);
+    const ICell* group = cells.data() + start;
+    if (compression == PostingCompression::kGroupVarint) {
+      kernel::GvEncodeBlock(group, count, out);
+      continue;
     }
-    if (compression == PostingCompression::kNone) {
-      PutFixed24(out, cells[i].doc);
-      PutFixed16(out, cells[i].weight);
-    } else if (compression == PostingCompression::kDeltaVarint) {
-      // Ascending document numbers; delta encoding restarts at each block
-      // boundary, so the first gap of a block is the document number
-      // itself and later gaps are strictly positive deltas.
-      uint64_t gap = block_start ? cells[i].doc : cells[i].doc - block.last_doc;
-      PutVarint(out, gap);
-      PutVarint(out, cells[i].weight);
-    }
-    block.last_doc = cells[i].doc;
-    block.max_weight =
-        std::max(block.max_weight, static_cast<float>(cells[i].weight));
-    ++block.cell_count;
-    if (i + 1 == cells.size() || ((i + 1) % kPostingBlockCells) == 0) {
-      // Group-varint is a whole-block format (control bytes up front), so
-      // the block encodes in one go at the boundary. Deltas restart here
-      // too, same as kDeltaVarint.
-      if (compression == PostingCompression::kGroupVarint) {
-        kernel::GvEncodeBlock(cells.data() + (i + 1 - block.cell_count),
-                              block.cell_count, out);
+    // Ascending document numbers: the first gap of a group is the
+    // document number itself, later gaps are strictly positive deltas.
+    DocId prev = 0;
+    for (int64_t i = 0; i < count; ++i) {
+      if (compression == PostingCompression::kNone) {
+        PutFixed24(out, group[i].doc);
+        PutFixed16(out, group[i].weight);
+      } else {
+        PutVarint(out, group[i].doc - prev);
+        PutVarint(out, group[i].weight);
       }
-      if (blocks != nullptr) blocks->push_back(block);
+      prev = group[i].doc;
     }
   }
 }
 
-void EncodePostings(const std::vector<ICell>& cells,
-                    PostingCompression compression,
-                    std::vector<uint8_t>* out) {
-  EncodePostings(cells, compression, out, nullptr);
-}
-
-Status DecodePostingBlockInto(const uint8_t* bytes, int64_t byte_length,
-                              int64_t count, PostingCompression compression,
-                              ICell* out) {
+Status DecodePostingsInto(const uint8_t* bytes, int64_t byte_length,
+                          int64_t count, PostingCompression compression,
+                          ICell* out) {
   if (count < 0) {
-    return Status::DataLoss("negative posting block cell count");
+    return Status::DataLoss("negative posting cell count");
   }
   if (compression == PostingCompression::kNone) {
     if (byte_length < count * kICellBytes) {
-      return Status::DataLoss("posting block shorter than its cell count");
+      return Status::DataLoss("posting list shorter than its cell count");
     }
     for (int64_t i = 0; i < count; ++i) {
       const uint8_t* p = bytes + i * kICellBytes;
@@ -99,41 +80,39 @@ Status DecodePostingBlockInto(const uint8_t* bytes, int64_t byte_length,
     return Status::OK();
   }
   if (compression == PostingCompression::kGroupVarint) {
-    int64_t consumed = 0;
-    return kernel::Active().gv_decode(bytes, byte_length, count, out,
-                                      &consumed);
+    // Groups are self-delimiting (the decoder reports the bytes it
+    // consumed), so the entry decodes group after group.
+    const kernel::KernelTable& k = kernel::Active();
+    for (int64_t done = 0; done < count;) {
+      const int64_t n = std::min(count - done, kPostingBlockCells);
+      int64_t consumed = 0;
+      TEXTJOIN_RETURN_IF_ERROR(
+          k.gv_decode(bytes, byte_length, n, out + done, &consumed));
+      bytes += consumed;
+      byte_length -= consumed;
+      done += n;
+    }
+    return Status::OK();
   }
   const uint8_t* p = bytes;
   const uint8_t* limit = bytes + byte_length;
-  DocId doc = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    uint64_t gap = 0, w = 0;
-    TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &gap));
-    TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &w));
-    const uint64_t next = (i == 0 ? uint64_t{0} : uint64_t{doc}) + gap;
-    if (next > 0xFFFFFFull || w > 0xFFFFull) {
-      return Status::DataLoss("posting cell out of range (corrupt block)");
+  for (int64_t start = 0; start < count; start += kPostingBlockCells) {
+    const int64_t n = std::min(count - start, kPostingBlockCells);
+    ICell* group = out + start;
+    uint64_t doc = 0;  // restart: the group's first gap is absolute
+    for (int64_t i = 0; i < n; ++i) {
+      uint64_t gap = 0, w = 0;
+      TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &gap));
+      TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &w));
+      if (gap > kMaxDocId - doc || w > 0xFFFFull) {
+        return Status::DataLoss("posting cell out of range (corrupt entry)");
+      }
+      doc += gap;
+      group[i].doc = static_cast<DocId>(doc);
+      group[i].weight = static_cast<Weight>(w);
     }
-    doc = static_cast<DocId>(next);
-    out[i] = ICell{doc, static_cast<Weight>(w)};
   }
   return Status::OK();
-}
-
-Status DecodePostingBlock(const uint8_t* bytes, int64_t byte_length,
-                          int64_t count, PostingCompression compression,
-                          std::vector<ICell>* out) {
-  if (count < 0) {
-    return Status::DataLoss("negative posting block cell count");
-  }
-  const size_t base = out->size();
-  out->resize(base + static_cast<size_t>(count));
-  const Status s =
-      DecodePostingBlockInto(bytes, byte_length, count, compression,
-                             out->data() + base);
-  // Fail closed: a corrupt block leaves no partially-decoded cells behind.
-  if (!s.ok()) out->resize(base);
-  return s;
 }
 
 Result<std::vector<ICell>> DecodePostings(const uint8_t* bytes,
@@ -142,53 +121,9 @@ Result<std::vector<ICell>> DecodePostings(const uint8_t* bytes,
   if (count < 0) {
     return Status::DataLoss("negative posting cell count");
   }
-  std::vector<ICell> cells;
-  cells.reserve(static_cast<size_t>(count));
-  if (compression == PostingCompression::kNone) {
-    TEXTJOIN_RETURN_IF_ERROR(
-        DecodePostingBlock(bytes, byte_length, count, compression, &cells));
-    return cells;
-  }
-  if (compression == PostingCompression::kGroupVarint) {
-    // Blocks are self-delimiting (the decoder reports the bytes it
-    // consumed), so the entry decodes block after block like varint does.
-    cells.resize(static_cast<size_t>(count));
-    const kernel::KernelTable& k = kernel::Active();
-    const uint8_t* p = bytes;
-    int64_t bytes_left = byte_length;
-    int64_t done = 0;
-    while (done < count) {
-      const int64_t n = std::min<int64_t>(count - done, kPostingBlockCells);
-      int64_t consumed = 0;
-      TEXTJOIN_RETURN_IF_ERROR(
-          k.gv_decode(p, bytes_left, n, cells.data() + done, &consumed));
-      p += consumed;
-      bytes_left -= consumed;
-      done += n;
-    }
-    return cells;
-  }
-  // Delta encoding restarts every kPostingBlockCells cells; decode block
-  // by block, tracking the byte cursor across restarts.
-  const uint8_t* p = bytes;
-  const uint8_t* limit = bytes + byte_length;
-  int64_t remaining = count;
-  while (remaining > 0) {
-    const int64_t n = std::min<int64_t>(remaining, kPostingBlockCells);
-    DocId doc = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      uint64_t gap = 0, w = 0;
-      TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &gap));
-      TEXTJOIN_RETURN_IF_ERROR(GetVarint(&p, limit, &w));
-      const uint64_t next = (i == 0 ? uint64_t{0} : uint64_t{doc}) + gap;
-      if (next > 0xFFFFFFull || w > 0xFFFFull) {
-        return Status::DataLoss("posting cell out of range (corrupt entry)");
-      }
-      doc = static_cast<DocId>(next);
-      cells.push_back(ICell{doc, static_cast<Weight>(w)});
-    }
-    remaining -= n;
-  }
+  std::vector<ICell> cells(static_cast<size_t>(count));
+  TEXTJOIN_RETURN_IF_ERROR(DecodePostingsInto(bytes, byte_length, count,
+                                              compression, cells.data()));
   return cells;
 }
 
@@ -231,27 +166,17 @@ Result<InvertedFile> InvertedFile::Build(Disk* disk,
   std::vector<BPlusTree::LeafCell> leaf_cells;
   leaf_cells.reserve(terms.size());
   std::vector<uint8_t> bytes;
-  std::vector<PostingBlockMeta> blocks;
   for (TermId term : terms) {
     const std::vector<ICell>& cells = postings[term];
-    EncodePostings(cells, options.compression, &bytes, &blocks);
+    EncodePostings(cells, options.compression, &bytes);
     int64_t offset = writer.Append(bytes);
     if (offset > 0xFFFFFFFFll) {
       return Status::ResourceExhausted(
           "inverted file exceeds 4-byte address space");
     }
-    float max_w = 0;
-    for (const PostingBlockMeta& b : blocks) {
-      max_w = std::max(max_w, b.max_weight);
-    }
-    EntryMeta meta;
-    meta.term = term;
-    meta.offset_bytes = offset;
-    meta.cell_count = static_cast<int64_t>(cells.size());
-    meta.byte_length = static_cast<int64_t>(bytes.size());
-    meta.max_weight = max_w;
-    meta.blocks = blocks;
-    inv.entries_.push_back(std::move(meta));
+    inv.entries_.push_back(EntryMeta{term, offset,
+                                     static_cast<int64_t>(cells.size()),
+                                     static_cast<int64_t>(bytes.size())});
     uint16_t df16 = cells.size() > 0xFFFF
                         ? uint16_t{0xFFFF}
                         : static_cast<uint16_t>(cells.size());

@@ -2,9 +2,7 @@
 #define TEXTJOIN_INDEX_INVERTED_FILE_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,56 +40,23 @@ enum class PostingCompression {
   kGroupVarint,
 };
 
-// Cells per posting block. Every entry is cut into fixed-size blocks of
-// this many i-cells; delta encoding restarts at each block boundary (the
-// first document number of a block is absolute), so any block decodes
-// independently of its predecessors. 64 cells keep the per-block metadata
-// under 3% of an uncompressed entry (DESIGN.md section 10 discusses the
-// choice).
+// Restart interval of every posting list: each entry is encoded as
+// consecutive groups of this many i-cells (the last may be short), and
+// delta encoding restarts at each group boundary, so a group's first
+// document number is absolute. Group-varint packs one group's control
+// bytes at the group's front, which makes each group self-delimiting.
+// The interval is part of the on-disk encoding: changing it changes every
+// compressed entry's bytes (DESIGN.md section 10).
 inline constexpr int64_t kPostingBlockCells = 64;
-
-// Rounds a max-weight bound up to the nearest representable float. Weights
-// themselves are uint16 (exact in float), but idf-scaled bounds computed in
-// double must quantize TOWARD +inf: rounding a bound down would let a real
-// score exceed it, so the stored value would no longer be an upper bound.
-inline float QuantizeMaxWeight(double w) {
-  float f = static_cast<float>(w);
-  if (static_cast<double>(f) < w) {
-    f = std::nextafter(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
-}
 
 class InvertedFile {
  public:
-  // Per-block summary: the document-number span the block covers and an
-  // upper bound on any cell weight inside it. The offset is relative to
-  // the entry's first byte, so a reader can seek straight to a block and
-  // decode it in isolation. Part of the persisted format (catalog round
-  // trip); no executor reads the spans or maxima today.
-  struct PostingBlockMeta {
-    DocId first_doc = 0;
-    DocId last_doc = 0;
-    int32_t cell_count = 0;
-    int64_t offset_bytes = 0;  // from the start of the entry
-    float max_weight = 0;
-  };
-
   // Per-term catalog row (in-memory metadata mirroring the B+tree leaves).
   struct EntryMeta {
     TermId term = 0;
     int64_t offset_bytes = 0;
     int64_t cell_count = 0;   // == document frequency of the term
     int64_t byte_length = 0;  // encoded length on disk
-    // Largest cell weight in the list — an upper bound on any document's
-    // weight for this term, known without fetching the entry. Stored
-    // round-up-quantized: truncating fractional (idf-scaled) bounds toward
-    // zero would turn sub-1.0 bounds into 0.
-    float max_weight = 0;
-    // Fixed-size block summaries (kPostingBlockCells cells each; the last
-    // block may be short). Non-empty for every entry with at least one
-    // cell.
-    std::vector<PostingBlockMeta> blocks;
   };
 
   struct BuildOptions {
@@ -217,40 +182,27 @@ void EncodeICells(const std::vector<ICell>& cells, std::vector<uint8_t>* out);
 Result<std::vector<ICell>> DecodeICells(const uint8_t* bytes,
                                         int64_t byte_length, int64_t count);
 
-// Serializes one posting list in the chosen representation. Delta encoding
-// restarts every kPostingBlockCells cells; when `blocks` is non-null the
-// per-block summaries (spans, offsets, block maxima) are appended to it.
-void EncodePostings(const std::vector<ICell>& cells,
-                    PostingCompression compression,
-                    std::vector<uint8_t>* out,
-                    std::vector<InvertedFile::PostingBlockMeta>* blocks);
+// Serializes one posting list in the chosen representation, restarting
+// the delta encoding every kPostingBlockCells cells.
 void EncodePostings(const std::vector<ICell>& cells,
                     PostingCompression compression,
                     std::vector<uint8_t>* out);
 
-// Parses `count` i-cells of a posting list encoded as `compression`.
-// Every read is bounds-checked against `byte_length`; corrupt bytes
-// surface as kDataLoss instead of out-of-bounds reads.
+// Parses `count` i-cells of a posting list encoded as `compression` into
+// caller-owned storage: writes exactly `count` cells at `out` on success
+// (the caller guarantees the room), so a reader that sizes its scratch
+// once decodes entry after entry without touching the allocator. Every
+// read is bounds-checked against `byte_length`; corrupt bytes surface as
+// kDataLoss instead of out-of-bounds reads, with nothing guaranteed about
+// `out`.
+Status DecodePostingsInto(const uint8_t* bytes, int64_t byte_length,
+                          int64_t count, PostingCompression compression,
+                          ICell* out);
+
+// DecodePostingsInto into a freshly allocated vector.
 Result<std::vector<ICell>> DecodePostings(const uint8_t* bytes,
                                           int64_t byte_length, int64_t count,
                                           PostingCompression compression);
-
-// Decodes one block of a posting list: `bytes` points at the block's first
-// byte (EntryMeta::offset_bytes + PostingBlockMeta::offset_bytes),
-// `byte_length` is the block's encoded length, `count` its cell count.
-// Appends the cells to `out`. Thanks to the restart points a block decodes
-// with no knowledge of its predecessors.
-Status DecodePostingBlock(const uint8_t* bytes, int64_t byte_length,
-                          int64_t count, PostingCompression compression,
-                          std::vector<ICell>* out);
-
-// DecodePostingBlock into caller-owned storage: writes exactly `count`
-// cells at `out` on success (the caller guarantees the room), so a reader
-// that sizes its scratch once decodes block after block without touching
-// the allocator. On failure nothing is guaranteed about `out`.
-Status DecodePostingBlockInto(const uint8_t* bytes, int64_t byte_length,
-                              int64_t count, PostingCompression compression,
-                              ICell* out);
 
 }  // namespace textjoin
 

@@ -111,8 +111,9 @@ struct PrunedDotResult {
   bool pruned = false;       // true => the candidate provably cannot qualify
 };
 
-// WeightedDot with threshold-aware early exit: merges d1 and d2 exactly
-// like WeightedDotKernel, but every kEarlyExitStride steps compares
+// WeightedDot with threshold-aware early exit: merges d1 and d2 with the
+// two-pointer walk, or gallops from the shorter document when
+// UseGalloping says so, and every kEarlyExitStride steps compares
 //   (acc + remaining suffix bound) * inv_denom * kBoundSlack
 // against `heap` (tie-broken as candidate document `doc`) and stops once
 // the pair provably cannot qualify. A completed merge returns the

@@ -165,42 +165,4 @@ size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
   return left;
 }
 
-namespace {
-
-// Galloping intersection: walks the shorter document and searches each of
-// its terms in the longer one. The common terms come out in the same
-// ascending order as the linear walk and each contribution is the same
-// (w1 * w2) * factor product (double multiplication commutes exactly), so
-// the accumulated sum is bit-identical to the linear kernel's.
-DotDetail GallopingDot(const Document& d1, const Document& d2,
-                       const SimilarityContext& ctx) {
-  const bool d1_short = d1.cells().size() <= d2.cells().size();
-  const auto& s = d1_short ? d1.cells() : d2.cells();
-  const auto& l = d1_short ? d2.cells() : d1.cells();
-  DotDetail out;
-  size_t j = 0;
-  for (size_t i = 0; i < s.size() && j < l.size(); ++i) {
-    ++out.merge_steps;
-    j = GallopLowerBound(l, j, s[i].term, &out.merge_steps);
-    if (j >= l.size()) break;
-    if (l[j].term == s[i].term) {
-      out.acc += static_cast<double>(s[i].weight) *
-                 static_cast<double>(l[j].weight) *
-                 ctx.TermFactor(s[i].term);
-      ++out.common_terms;
-      ++j;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx) {
-  return UseGalloping(d1.cells().size(), d2.cells().size())
-             ? GallopingDot(d1, d2, ctx)
-             : WeightedDotDetailed(d1, d2, ctx);
-}
-
 }  // namespace textjoin

@@ -132,10 +132,10 @@ struct DotDetail {
 DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
                               const SimilarityContext& ctx);
 
-// Length ratio at which WeightedDotKernel switches from the paper's
-// two-pointer walk, O(|d1| + |d2|), to galloping — exponential + binary
-// search from the shorter document, O(short * log(long)). At 16x the
-// expected probe count short*(2*log2(ratio)+2) drops below the linear
+// Length ratio at which HHNL's merge (WeightedDotPruned) switches from the
+// paper's two-pointer walk, O(|d1| + |d2|), to galloping — exponential +
+// binary search from the shorter document, O(short * log(long)). At 16x
+// the expected probe count short*(2*log2(ratio)+2) drops below the linear
 // walk's short+long steps.
 inline constexpr int64_t kGallopSizeRatio = 16;
 
@@ -147,16 +147,8 @@ inline bool UseGalloping(size_t n1, size_t n2) {
          std::max(n1, n2) >= shorter * static_cast<size_t>(kGallopSizeRatio);
 }
 
-// WeightedDotDetailed with the intersection picked by UseGalloping. Both
-// arms visit the common terms in the same ascending order and evaluate
-// each contribution with the same expression, so acc and common_terms are
-// bit-identical to WeightedDotDetailed's; when it gallops only
-// merge_steps (one per cell visited or search probe made) differs.
-DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx);
-
-// Building block of the galloping kernel, shared with the threshold-aware
-// merge in join/pruning.h: first index >= lo whose term is >= t, found by
+// Building block of the galloping arm of the threshold-aware merge in
+// join/pruning.h: first index >= lo whose term is >= t, found by
 // exponential probing then binary search. Every probe is metered as one
 // merge step into *steps.
 size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,

@@ -35,10 +35,7 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
   in.sys = ctx.sys;
   in.query.lambda = spec.lambda;
   in.query.delta = spec.delta;
-  in.q = options_.measure_term_overlap
-             ? MeasuredTermOverlap(*ctx.outer, *ctx.inner)
-             : EstimateTermOverlap(in.c2.num_distinct_terms,
-                                   in.c1.num_distinct_terms);
+  in.q = MeasuredTermOverlap(*ctx.outer, *ctx.inner);
   if (!spec.outer_subset.empty()) {
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;
@@ -53,7 +50,9 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     choice.inner_compression = ctx.inner_index->compression();
   }
   choice.costs = CompareCosts(in);
-  if (options_.consider_backward_hhnl && spec.inner_subset.empty()) {
+  // The backward HHNL order (Section 4.1) runs when it is estimated
+  // cheaper than the forward order.
+  if (spec.inner_subset.empty()) {
     choice.hhnl_backward_cost = HhnlBackwardCost(in);
     const double fwd = options_.use_random_model ? choice.costs.hhnl.rand
                                                  : choice.costs.hhnl.seq;

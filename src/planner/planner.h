@@ -51,12 +51,6 @@ class JoinPlanner {
     // Rank by the worst-case random-I/O cost instead of the sequential
     // cost (a busy-device deployment).
     bool use_random_model = false;
-    // Estimate q from the collection catalogs (exact shared-term count)
-    // rather than the paper's piecewise T1/T2 heuristic.
-    bool measure_term_overlap = true;
-    // Also consider the backward HHNL order (Section 4.1) and run it when
-    // it is estimated cheaper than the forward order.
-    bool consider_backward_hhnl = true;
     // Graceful degradation: when the chosen algorithm fails with an I/O
     // error (UNAVAILABLE / DATA_LOSS, e.g. a permanently failed inverted
     // file), mark it infeasible and re-plan with the next-cheapest

@@ -55,19 +55,6 @@ inline uint64_t GetFixed64(const uint8_t* p) {
   return v;
 }
 
-// Bit-exact float transport (catalog rows carry float bounds).
-inline uint32_t FloatBits(float f) {
-  uint32_t v;
-  std::memcpy(&v, &f, 4);
-  return v;
-}
-
-inline float FloatFromBits(uint32_t v) {
-  float f;
-  std::memcpy(&f, &v, 4);
-  return f;
-}
-
 }  // namespace textjoin
 
 #endif  // TEXTJOIN_STORAGE_CODING_H_

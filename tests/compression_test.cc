@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "storage/disk_manager.h"
 #include "index/inverted_file.h"
 #include "index/varint.h"
@@ -86,6 +88,23 @@ TEST(PostingCodecTest, CorruptContinuationBitsSurfaceAsDataLoss) {
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
+// A gap that would carry the document number past kMaxDocId is corrupt,
+// including one so large that adding it wraps 64-bit arithmetic back to a
+// small (and descending) document number.
+TEST(PostingCodecTest, OverflowingGapIsDataLoss) {
+  for (const uint64_t gap : {uint64_t{kMaxDocId}, ~uint64_t{0}}) {
+    std::vector<uint8_t> buf;
+    PutVarint(&buf, 5);  // first cell: document 5, weight 1
+    PutVarint(&buf, 1);
+    PutVarint(&buf, gap);
+    PutVarint(&buf, 1);
+    auto r = DecodePostings(buf.data(), static_cast<int64_t>(buf.size()), 2,
+                            PostingCompression::kDeltaVarint);
+    ASSERT_FALSE(r.ok()) << "gap " << gap;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(PostingCodecTest, TruncatedEntryIsDataLoss) {
   std::vector<ICell> cells;
   for (DocId d = 0; d < 100; ++d) cells.push_back(ICell{d * 7, 3});
@@ -139,35 +158,24 @@ TEST_P(PostingCodecPropertyTest, RandomListsRoundTrip) {
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
         PostingCompression::kGroupVarint}) {
     std::vector<uint8_t> buf;
-    std::vector<InvertedFile::PostingBlockMeta> blocks;
-    EncodePostings(cells, c, &buf, &blocks);
+    EncodePostings(cells, c, &buf);
     auto decoded =
         DecodePostings(buf.data(), static_cast<int64_t>(buf.size()), n, c);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, cells);
-    // Block summaries tile the list exactly and each block decodes
-    // independently to the same cells.
-    ASSERT_EQ(static_cast<int64_t>(blocks.size()),
-              (n + kPostingBlockCells - 1) / kPostingBlockCells);
-    int64_t at = 0;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      const auto& meta = blocks[b];
-      EXPECT_EQ(meta.first_doc, cells[at].doc);
-      EXPECT_EQ(meta.last_doc, cells[at + meta.cell_count - 1].doc);
-      const int64_t end = b + 1 < blocks.size()
-                              ? blocks[b + 1].offset_bytes
-                              : static_cast<int64_t>(buf.size());
-      std::vector<ICell> block_cells;
-      ASSERT_TRUE(DecodePostingBlock(buf.data() + meta.offset_bytes,
-                                     end - meta.offset_bytes, meta.cell_count,
-                                     c, &block_cells)
-                      .ok());
-      for (int64_t i = 0; i < meta.cell_count; ++i) {
-        EXPECT_EQ(block_cells[i], cells[at + i]);
-      }
-      at += meta.cell_count;
+    // Restart layout: the list's bytes are exactly the concatenation of
+    // its kPostingBlockCells-cell slices encoded on their own — deltas and
+    // group-varint control groups restart at every slice boundary.
+    std::vector<uint8_t> concatenated, slice_bytes;
+    for (int64_t at = 0; at < n; at += kPostingBlockCells) {
+      const std::vector<ICell> slice(
+          cells.begin() + at,
+          cells.begin() + std::min<int64_t>(n, at + kPostingBlockCells));
+      EncodePostings(slice, c, &slice_bytes);
+      concatenated.insert(concatenated.end(), slice_bytes.begin(),
+                          slice_bytes.end());
     }
-    EXPECT_EQ(at, n);
+    EXPECT_EQ(buf, concatenated);
   }
 }
 

@@ -23,6 +23,46 @@ std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+// A catalog record as stored (catalog.cc WriteRecord): magic u32, payload
+// length u64, payload crc u32, payload.
+struct RawRecord {
+  uint32_t magic = 0;
+  std::vector<uint8_t> payload;
+};
+
+RawRecord ReadRawRecord(Disk* disk, const std::string& name) {
+  auto file = disk->FindFile(name);
+  TEXTJOIN_CHECK_OK(file.status());
+  PageStreamReader reader(disk, *file);
+  std::vector<uint8_t> header;
+  TEXTJOIN_CHECK_OK(reader.Read(0, 16, &header));
+  RawRecord record;
+  record.magic = GetFixed32(header.data());
+  TEXTJOIN_CHECK_OK(reader.Read(
+      16, static_cast<int64_t>(GetFixed64(header.data() + 4)),
+      &record.payload));
+  return record;
+}
+
+// Writes `record` under `name` with a valid checksum, so whatever it holds
+// reaches the decoder's semantic checks rather than the CRC check.
+void WriteRawRecord(Disk* disk, const std::string& name,
+                    const RawRecord& record) {
+  std::vector<uint8_t> header;
+  PutFixed32(&header, record.magic);
+  PutFixed64(&header, record.payload.size());
+  PutFixed32(&header, Crc32(record.payload.data(), record.payload.size()));
+  PageStreamWriter writer(disk, disk->CreateFile(name));
+  writer.Append(header);
+  writer.Append(record.payload);
+  TEXTJOIN_CHECK_OK(writer.Finish());
+}
+
+// Byte offset just past the fixed32-length-prefixed string at `at`.
+size_t SkipString(const std::vector<uint8_t>& payload, size_t at) {
+  return at + 4 + GetFixed32(payload.data() + at);
+}
+
 TEST(Crc32Test, KnownVectors) {
   // Standard test vector: CRC-32("123456789") = 0xCBF43926.
   const char* s = "123456789";
@@ -246,6 +286,14 @@ TEST(CatalogTest, InvertedFileRoundTrip) {
     EXPECT_EQ(reopened->num_terms(), inv->num_terms());
     EXPECT_EQ(reopened->size_in_bytes(), inv->size_in_bytes());
     EXPECT_EQ(reopened->compression(), comp);
+    for (int64_t i = 0; i < inv->num_terms(); ++i) {
+      const auto& a = inv->entries()[i];
+      const auto& b = reopened->entries()[i];
+      EXPECT_EQ(a.term, b.term);
+      EXPECT_EQ(a.offset_bytes, b.offset_bytes);
+      EXPECT_EQ(a.cell_count, b.cell_count);
+      EXPECT_EQ(a.byte_length, b.byte_length);
+    }
     for (const auto& e : inv->entries()) {
       EXPECT_EQ(reopened->FetchEntry(e.term).value(),
                 inv->FetchEntry(e.term).value());
@@ -269,33 +317,14 @@ TEST(CatalogTest, UnknownCompressionByteRejected) {
   ASSERT_TRUE(inv.ok());
   ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
 
-  // Record layout (catalog.cc WriteRecord): magic u32, payload length
-  // u64, payload crc u32, payload. The payload opens with two fixed32-
-  // length-prefixed strings (data file, btree file); the compression byte
-  // follows.
-  auto file = disk.FindFile("col.inv.cat");
-  ASSERT_TRUE(file.ok());
-  PageStreamReader reader(&disk, *file);
-  std::vector<uint8_t> header;
-  ASSERT_TRUE(reader.Read(0, 16, &header).ok());
-  const uint64_t len = GetFixed64(header.data() + 4);
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(reader.Read(16, static_cast<int64_t>(len), &payload).ok());
-  size_t at = 4 + GetFixed32(payload.data());
-  at += 4 + GetFixed32(payload.data() + at);
-  ASSERT_EQ(payload[at],
+  // The payload opens with two length-prefixed strings (data file, btree
+  // file); the compression byte follows.
+  RawRecord record = ReadRawRecord(&disk, "col.inv.cat");
+  const size_t at = SkipString(record.payload, SkipString(record.payload, 0));
+  ASSERT_EQ(record.payload[at],
             static_cast<uint8_t>(PostingCompression::kGroupVarint));
-  payload[at] = 0x7F;
-
-  std::vector<uint8_t> patched_header;
-  PutFixed32(&patched_header, GetFixed32(header.data()));
-  PutFixed64(&patched_header, len);
-  PutFixed32(&patched_header, Crc32(payload.data(), payload.size()));
-  FileId patched = disk.CreateFile("col.bad.cat");
-  PageStreamWriter writer(&disk, patched);
-  writer.Append(patched_header);
-  writer.Append(payload);
-  ASSERT_TRUE(writer.Finish().ok());
+  record.payload[at] = 0x7F;
+  WriteRawRecord(&disk, "col.bad.cat", record);
 
   auto reopened = OpenInvertedFile(&disk, "col.bad.cat");
   ASSERT_FALSE(reopened.ok());
@@ -348,6 +377,89 @@ TEST(CatalogTest, FullDatabaseReopenEndToEnd) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, expected);
   std::remove(path.c_str());
+}
+
+// A count field is checked against the bytes left in the payload before
+// anything is reserved for it: a checksummed record claiming 2^40
+// elements must fail with a Status, not abort on the allocation.
+constexpr uint64_t kHugeCount = uint64_t{1} << 40;
+
+TEST(CatalogTest, ImplausibleEntryCountFailsClosed) {
+  SimulatedDisk disk(128);
+  auto col = RandomCollection(&disk, "col", 10, 4, 20, 18);
+  auto inv = InvertedFile::Build(&disk, "col.inv", col);
+  ASSERT_TRUE(inv.ok());
+  ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
+
+  // data name, btree name, compression u8, total bytes u64, entry count.
+  RawRecord record = ReadRawRecord(&disk, "col.inv.cat");
+  const size_t count_at =
+      SkipString(record.payload, SkipString(record.payload, 0)) + 1 + 8;
+  record.payload.resize(count_at);
+  PutFixed64(&record.payload, kHugeCount);
+  WriteRawRecord(&disk, "col.huge.cat", record);
+
+  auto reopened = OpenInvertedFile(&disk, "col.huge.cat");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.status().message().find("implausible entry count"),
+            std::string::npos)
+      << reopened.status();
+}
+
+TEST(CatalogTest, ImplausibleCollectionCountsFailClosed) {
+  SimulatedDisk disk(128);
+  auto col = RandomCollection(&disk, "col", 10, 4, 20, 19);
+  ASSERT_TRUE(SaveCollectionCatalog(col, "col.cat").ok());
+  RawRecord record = ReadRawRecord(&disk, "col.cat");
+  const size_t n_at = SkipString(record.payload, 0);
+
+  // data name, document count: every per-document array is sized by it.
+  RawRecord huge_docs = record;
+  huge_docs.payload.resize(n_at);
+  PutFixed64(&huge_docs.payload, kHugeCount);
+  WriteRawRecord(&disk, "docs.huge.cat", huge_docs);
+  auto reopened = OpenCollection(&disk, "docs.huge.cat");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.status().message().find("implausible document count"),
+            std::string::npos)
+      << reopened.status();
+
+  // No documents, then a term count that sizes the document-frequency map.
+  RawRecord huge_terms = record;
+  huge_terms.payload.resize(n_at);
+  PutFixed64(&huge_terms.payload, 0);
+  PutFixed64(&huge_terms.payload, kHugeCount);
+  WriteRawRecord(&disk, "terms.huge.cat", huge_terms);
+  reopened = OpenCollection(&disk, "terms.huge.cat");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.status().message().find("implausible term count"),
+            std::string::npos)
+      << reopened.status();
+}
+
+// Inverted-file records of the earlier layout ("TJIC", with a max weight
+// per entry and a summary per 64-cell block) carry a different magic, so
+// they fail the magic check instead of being misparsed.
+TEST(CatalogTest, EarlierInvertedLayoutRejectedByMagic) {
+  SimulatedDisk disk(128);
+  auto col = RandomCollection(&disk, "col", 5, 3, 20, 20);
+  auto inv = InvertedFile::Build(&disk, "col.inv", col);
+  ASSERT_TRUE(inv.ok());
+  ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
+  RawRecord record = ReadRawRecord(&disk, "col.inv.cat");
+  constexpr uint32_t kEarlierMagic = 0x544A4943;  // "TJIC"
+  EXPECT_NE(record.magic, kEarlierMagic);
+  record.magic = kEarlierMagic;
+  WriteRawRecord(&disk, "col.old.cat", record);
+
+  auto reopened = OpenInvertedFile(&disk, "col.old.cat");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().message().find("wrong magic"),
+            std::string::npos)
+      << reopened.status();
 }
 
 TEST(CatalogTest, OpenMissingCatalogFails) {

@@ -89,8 +89,7 @@ TEST(PlannerTest, RandomModelCanChangeRanking) {
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 40, 6, 50, 11),
                        RandomCollection(&disk, "c2", 25, 5, 50, 12));
   JoinPlanner seq_planner;
-  JoinPlanner rand_planner(JoinPlanner::Options{/*use_random_model=*/true,
-                                                /*measure_term_overlap=*/true});
+  JoinPlanner rand_planner(JoinPlanner::Options{/*use_random_model=*/true});
   auto p1 = seq_planner.Plan(f->Context(100), JoinSpec{});
   auto p2 = rand_planner.Plan(f->Context(100), JoinSpec{});
   ASSERT_TRUE(p1.ok());
@@ -125,10 +124,13 @@ TEST(PlannerTest, BackwardHhnlChosenWhenCheaper) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
 
-  // Disabling the option keeps the paper's forward order.
-  JoinPlanner forward_only(JoinPlanner::Options{false, true, false});
-  auto plan2 = forward_only.Plan(ctx, spec);
+  // An inner selection keeps the paper's forward order, even when it
+  // names every inner document.
+  JoinSpec selected = spec;
+  for (DocId d = 0; d < 15; ++d) selected.inner_subset.push_back(d);
+  auto plan2 = planner.Plan(ctx, selected);
   ASSERT_TRUE(plan2.ok());
+  EXPECT_EQ(plan2->algorithm, Algorithm::kHhnl);
   EXPECT_FALSE(plan2->hhnl_backward);
 }
 

@@ -106,9 +106,23 @@ TEST(PruningSweepTest, PrunedRunsAreBitIdentical) {
   }
 }
 
+// WeightedDotPruned against a heap that is not full, so no bound check
+// can stop it: HHNL's merge run to completion.
+DotDetail UnprunedDot(const Document& d1, const Document& d2,
+                      const SimilarityContext& ctx) {
+  SuffixBounds b1, b2;
+  b1.Build(d1, ctx);
+  b2.Build(d2, ctx);
+  const TopKAccumulator heap(1);
+  const PrunedDotResult r =
+      WeightedDotPruned(d1, d2, ctx, b1, b2, /*inv_denom=*/1.0, 0, heap);
+  EXPECT_FALSE(r.pruned);
+  return r.detail;
+}
+
 // Skewed document lengths: 120-cell documents against 4-cell ones, far
-// beyond the 16x switch ratio, so WeightedDotKernel gallops. Every pair
-// must agree bit for bit with the linear walk, and galloping must cut the
+// beyond the 16x switch ratio, so HHNL's merge gallops. Every pair must
+// agree bit for bit with the linear walk, and galloping must cut the
 // merge cost by well over half.
 TEST(PruningSweepTest, GallopingMergeSavesStepsOnSkewedLengths) {
   const uint64_t seed = SeedOffset() * 1000 + 5;
@@ -124,7 +138,7 @@ TEST(PruningSweepTest, GallopingMergeSavesStepsOnSkewedLengths) {
       auto d1 = f->inner.ReadDocument(a);
       auto d2 = f->outer.ReadDocument(b);
       ASSERT_TRUE(d1.ok() && d2.ok());
-      const DotDetail gal = WeightedDotKernel(*d1, *d2, f->simctx);
+      const DotDetail gal = UnprunedDot(*d1, *d2, f->simctx);
       const DotDetail lin = WeightedDotDetailed(*d1, *d2, f->simctx);
       EXPECT_EQ(gal.acc, lin.acc) << "pair " << a << "," << b;
       EXPECT_EQ(gal.common_terms, lin.common_terms);
@@ -200,7 +214,7 @@ TEST(PruningPrimitivesTest, GallopLowerBoundMatchesStdLowerBound) {
 
 // Merge steps of the galloping walk from the shorter document: one step
 // per short cell plus every search probe — the reference count for
-// WeightedDotKernel at or above kGallopSizeRatio.
+// HHNL's merge at or above kGallopSizeRatio.
 int64_t GallopingSteps(const Document& d1, const Document& d2) {
   const bool d1_short = d1.cells().size() <= d2.cells().size();
   const auto& s = d1_short ? d1.cells() : d2.cells();
@@ -215,10 +229,11 @@ int64_t GallopingSteps(const Document& d1, const Document& d2) {
   return steps;
 }
 
-// WeightedDotKernel picks its intersection by length ratio alone; either
-// arm must reproduce WeightedDotDetailed's acc and common_terms bit for
-// bit. Below the ratio it IS the linear walk (equal merge_steps); at and
-// above it the step count is the galloping walk's.
+// HHNL's merge picks its intersection by length ratio alone; with a heap
+// that cannot prune, either arm must reproduce WeightedDotDetailed's acc
+// and common_terms bit for bit. Below the ratio it IS the linear walk
+// (equal merge_steps, even though the walk is chunked at the bound-check
+// stride); at and above it the step count is the galloping walk's.
 TEST(PruningPrimitivesTest, KernelsAreBitIdentical) {
   SimulatedDisk disk(256);
   auto c1 = RandomCollection(&disk, "c1", 10, 40, 120, 31);
@@ -228,8 +243,8 @@ TEST(PruningPrimitivesTest, KernelsAreBitIdentical) {
                               const std::string& what) {
     const DotDetail lin = WeightedDotDetailed(d1, d2, f->simctx);
     for (const bool swap : {false, true}) {
-      const DotDetail k = swap ? WeightedDotKernel(d2, d1, f->simctx)
-                               : WeightedDotKernel(d1, d2, f->simctx);
+      const DotDetail k = swap ? UnprunedDot(d2, d1, f->simctx)
+                               : UnprunedDot(d1, d2, f->simctx);
       EXPECT_EQ(k.acc, lin.acc) << what;  // bit-identical, not just close
       EXPECT_EQ(k.common_terms, lin.common_terms) << what;
       if (UseGalloping(d1.cells().size(), d2.cells().size())) {
