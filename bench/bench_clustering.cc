@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "index/inverted_file.h"
 #include "join/hvnl.h"
+#include "obs/query_stats.h"
 #include "sim/synthetic.h"
 
 namespace textjoin {
@@ -75,11 +76,13 @@ Run RunHvnl(SimulatedDisk* disk, const DocumentCollection& inner,
   ctx.sys = SystemParams{buffer, kPage, 5.0};
   JoinSpec spec;
   spec.lambda = 5;
-  HvnlJoin join;
   disk->ResetStats();
   disk->ResetHeads();
-  TEXTJOIN_CHECK_OK(join.Run(ctx, spec).status());
-  return Run{join.run_stats().entry_fetches, disk->stats().Cost(5.0)};
+  QueryStatsCollector stats(disk);
+  ctx.stats = &stats;
+  TEXTJOIN_CHECK_OK(HvnlJoin().Run(ctx, spec).status());
+  return Run{stats.Finish().root.Counter("entry_fetches"),
+             disk->stats().Cost(5.0)};
 }
 
 }  // namespace

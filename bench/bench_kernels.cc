@@ -17,7 +17,7 @@
 //
 // Times here are machine-dependent by design — nothing a golden test
 // pins. The machine-independent counters stay in the simulated CPU model;
-// kernel::Calibrated() is the bridge between the two.
+// Calibrated() (obs/calibrate.h) is the bridge between the two.
 
 #include <algorithm>
 #include <chrono>

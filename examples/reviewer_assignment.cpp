@@ -20,6 +20,7 @@
 #include "common/logging.h"
 #include "index/inverted_file.h"
 #include "join/hvnl.h"
+#include "obs/query_stats.h"
 #include "planner/planner.h"
 #include "text/tokenizer.h"
 
@@ -96,10 +97,15 @@ int main() {
   spec.lambda = 2;  // two reviewers per submission
   spec.similarity = config;
 
+  // A stats collector on a copy of the context receives HVNL's entry-cache
+  // counters; the planner below sees the plain context.
   disk.ResetStats();
-  HvnlJoin hvnl;
-  auto result = hvnl.Run(ctx, spec);
+  QueryStatsCollector collector(&disk);
+  JoinContext metered = ctx;
+  metered.stats = &collector;
+  auto result = HvnlJoin().Run(metered, spec);
   TEXTJOIN_CHECK_OK(result.status());
+  const QueryStats stats = collector.Finish();
 
   std::printf("Reviewer assignment (HVNL, tf-idf cosine):\n");
   for (const OuterMatches& om : *result) {
@@ -111,8 +117,8 @@ int main() {
   }
   std::printf("\nHVNL I/O: %s (%lld entry fetches, %lld cache hits)\n",
               disk.stats().ToString().c_str(),
-              static_cast<long long>(hvnl.run_stats().entry_fetches),
-              static_cast<long long>(hvnl.run_stats().cache_hits));
+              static_cast<long long>(stats.root.Counter("entry_fetches")),
+              static_cast<long long>(stats.root.Counter("cache_hits")));
 
   // What would the integrated algorithm have chosen?
   JoinPlanner planner;

@@ -100,7 +100,7 @@ class TextJoinAlgorithm {
   // Runs the join. I/O is metered on the collections' SimulatedDisk; the
   // caller typically resets the disk stats before and reads them after.
   virtual Result<JoinResult> Run(const JoinContext& ctx,
-                                 const JoinSpec& spec) = 0;
+                                 const JoinSpec& spec) const = 0;
 };
 
 // Helpers shared by the executors and tests.

@@ -113,13 +113,13 @@ int64_t HhnlJoin::BatchSize(const JoinContext& ctx, const JoinSpec& spec) {
 }
 
 Result<JoinResult> HhnlJoin::Run(const JoinContext& ctx,
-                                 const JoinSpec& spec) {
+                                 const JoinSpec& spec) const {
   TEXTJOIN_RETURN_IF_ERROR(ValidateJoinInputs(ctx, spec));
   return options_.backward ? RunBackward(ctx, spec) : RunForward(ctx, spec);
 }
 
 Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
-                                        const JoinSpec& spec) {
+                                        const JoinSpec& spec) const {
   const int64_t X = BatchSize(ctx, spec);
   if (X < 1) {
     return Status::ResourceExhausted(
@@ -208,7 +208,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
 }
 
 Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
-                                         const JoinSpec& spec) {
+                                         const JoinSpec& spec) const {
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
   const double P = static_cast<double>(ctx.sys.page_size);

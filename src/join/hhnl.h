@@ -32,16 +32,17 @@ class HhnlJoin : public TextJoinAlgorithm {
   Algorithm kind() const override { return Algorithm::kHhnl; }
 
   Result<JoinResult> Run(const JoinContext& ctx,
-                         const JoinSpec& spec) override;
+                         const JoinSpec& spec) const override;
 
   // The forward-order outer batch size the executor would use; exposed for
   // tests and model validation.
   static int64_t BatchSize(const JoinContext& ctx, const JoinSpec& spec);
 
  private:
-  Result<JoinResult> RunForward(const JoinContext& ctx, const JoinSpec& spec);
+  Result<JoinResult> RunForward(const JoinContext& ctx,
+                                const JoinSpec& spec) const;
   Result<JoinResult> RunBackward(const JoinContext& ctx,
-                                 const JoinSpec& spec);
+                                 const JoinSpec& spec) const;
 
   Options options_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
 #include <set>
 #include <unordered_map>
 
@@ -51,71 +50,39 @@ class LazyEntry {
   bool decoded_ = false;
 };
 
-// Cache of inverted file entries with pluggable replacement.
+// Cache of inverted file entries. On overflow it evicts the entry whose
+// term has the lowest document frequency in the outer collection C2.
 class EntryCache {
  public:
-  EntryCache(int64_t capacity, HvnlJoin::Replacement policy,
-             const DocumentCollection* outer)
-      : capacity_(capacity), policy_(policy), outer_(outer) {}
-
-  bool Contains(TermId term) const { return entries_.count(term) > 0; }
+  EntryCache(int64_t capacity, const DocumentCollection* outer)
+      : capacity_(capacity), outer_(outer) {}
 
   LazyEntry* Get(TermId term) {
     auto it = entries_.find(term);
-    if (it == entries_.end()) return nullptr;
-    if (policy_ == HvnlJoin::Replacement::kLru) {
-      lru_.erase(it->second.lru_pos);
-      lru_.push_front(term);
-      it->second.lru_pos = lru_.begin();
-    }
-    return &it->second.entry;
+    return it == entries_.end() ? nullptr : &it->second;
   }
 
-  // Inserts `entry`; evicts per policy when over capacity (possibly the
-  // incoming entry itself, which has already been consumed by the caller).
-  // Returns the number of evictions performed.
+  // Inserts `entry`, then evicts lowest-df entries while over capacity
+  // (possibly the incoming entry itself, which the caller has already
+  // consumed). Returns the number of evictions performed.
   int64_t Put(TermId term, LazyEntry entry) {
     if (capacity_ <= 0) return 0;
-    Slot slot{std::move(entry), {}};
-    if (policy_ == HvnlJoin::Replacement::kLru) {
-      lru_.push_front(term);
-      slot.lru_pos = lru_.begin();
-    } else {
-      by_df_.insert({outer_->DocumentFrequency(term), term});
-    }
-    entries_.emplace(term, std::move(slot));
+    by_df_.insert({outer_->DocumentFrequency(term), term});
+    entries_.emplace(term, std::move(entry));
     int64_t evictions = 0;
     while (static_cast<int64_t>(entries_.size()) > capacity_) {
-      EvictOne();
+      auto victim = by_df_.begin();
+      entries_.erase(victim->second);
+      by_df_.erase(victim);
       ++evictions;
     }
     return evictions;
   }
 
  private:
-  struct Slot {
-    LazyEntry entry;
-    std::list<TermId>::iterator lru_pos;
-  };
-
-  void EvictOne() {
-    TermId victim;
-    if (policy_ == HvnlJoin::Replacement::kLru) {
-      victim = lru_.back();
-      lru_.pop_back();
-    } else {
-      auto it = by_df_.begin();  // lowest outer document frequency
-      victim = it->second;
-      by_df_.erase(it);
-    }
-    entries_.erase(victim);
-  }
-
   int64_t capacity_;
-  HvnlJoin::Replacement policy_;
   const DocumentCollection* outer_;
-  std::unordered_map<TermId, Slot> entries_;
-  std::list<TermId> lru_;                       // front = most recent
+  std::unordered_map<TermId, LazyEntry> entries_;
   std::set<std::pair<int64_t, TermId>> by_df_;  // (df in C2, term)
 };
 
@@ -141,12 +108,11 @@ int64_t HvnlJoin::CacheCapacity(const JoinContext& ctx,
 }
 
 Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
-                                 const JoinSpec& spec) {
+                                 const JoinSpec& spec) const {
   TEXTJOIN_RETURN_IF_ERROR(ValidateJoinInputs(ctx, spec));
   if (ctx.inner_index == nullptr) {
     return Status::InvalidArgument("HVNL needs the inverted file on C1");
   }
-  run_stats_ = RunStats();
   const int64_t X = CacheCapacity(ctx, spec);
   if (X < 0) {
     return Status::ResourceExhausted(
@@ -160,6 +126,9 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     stats->SetCounter("cache_capacity_X", X);
   }
   int64_t directory_probes = 0;
+  int64_t entry_fetches = 0;  // entries read from disk, re-reads included
+  int64_t cache_hits = 0;
+  int64_t evictions = 0;
 
   // One-time cost: read the whole B+tree into memory (Bt1 pages). An
   // early error return may leave the phase open; Finish() closes it.
@@ -170,7 +139,7 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
   ResidentTermDirectory directory(std::move(btree_cells),
                                   ctx.inner_index->size_in_bytes());
 
-  EntryCache cache(X, options_.replacement, ctx.outer);
+  EntryCache cache(X, ctx.outer);
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
   const auto& index_entries = ctx.inner_index->entries();
   const PostingCompression compression = ctx.inner_index->compression();
@@ -226,41 +195,6 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     contrib.resize(static_cast<size_t>(max_cells));
   }
 
-  // Greedy ordering (Section 4.2's alternative): learn each outer
-  // document's C1-relevant terms in one metered pass, then process the
-  // documents in most-cache-overlap-first order with positioned reads.
-  const bool greedy = options_.order == OuterOrder::kGreedyIntersection;
-  std::vector<std::vector<TermId>> doc_terms;
-  if (greedy) {
-    PhaseScope learn(stats, "learn outer term lists");
-    doc_terms.resize(participating.size());
-    if (random_outer) {
-      for (size_t i = 0; i < participating.size(); ++i) {
-        TEXTJOIN_ASSIGN_OR_RETURN(
-            Document d, ctx.outer->ReadDocument(participating[i]));
-        doc_terms[i].reserve(d.cells().size());
-        for (const DCell& c : d.cells()) {
-          if (directory.Lookup(c.term).has_value()) {
-            doc_terms[i].push_back(c.term);
-          }
-        }
-      }
-    } else {
-      auto scan = ctx.outer->Scan();
-      size_t i = 0;
-      while (!scan.Done()) {
-        TEXTJOIN_ASSIGN_OR_RETURN(Document d, scan.Next());
-        doc_terms[i].reserve(d.cells().size());
-        for (const DCell& c : d.cells()) {
-          if (directory.Lookup(c.term).has_value()) {
-            doc_terms[i].push_back(c.term);
-          }
-        }
-        ++i;
-      }
-    }
-  }
-
   JoinResult result;
   result.reserve(participating.size());
   auto outer_scan = ctx.outer->Scan();
@@ -270,41 +204,18 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
                   static_cast<double>(ctx.inner->num_documents())) +
               16);
   TopKAccumulator heap(spec.lambda);  // reused across outer documents
-  std::vector<char> processed(participating.size(), 0);
 
-  for (size_t step = 0; step < participating.size(); ++step) {
+  for (const DocId outer_doc : participating) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "HVNL outer document"));
-    size_t pick = step;
     Document d2;
     if (stats != nullptr) stats->BeginPhase(phase::kReadOuter);
-    if (greedy) {
-      // The unprocessed document whose needed entries are already cached
-      // the most (first index wins ties, so storage order is the
-      // fallback when the cache offers no signal).
-      int64_t best = -1;
-      for (size_t i = 0; i < participating.size(); ++i) {
-        if (processed[i]) continue;
-        int64_t overlap = 0;
-        for (TermId t : doc_terms[i]) {
-          if (cache.Contains(t)) ++overlap;
-        }
-        if (overlap > best) {
-          best = overlap;
-          pick = i;
-        }
-      }
-      processed[pick] = 1;
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          d2, ctx.outer->ReadDocument(participating[pick]));
-    } else if (random_outer) {
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          d2, ctx.outer->ReadDocument(participating[pick]));
+    if (random_outer) {
+      TEXTJOIN_ASSIGN_OR_RETURN(d2, ctx.outer->ReadDocument(outer_doc));
     } else {
-      TEXTJOIN_CHECK_EQ(outer_scan.next_doc(), participating[pick]);
+      TEXTJOIN_CHECK_EQ(outer_scan.next_doc(), outer_doc);
       TEXTJOIN_ASSIGN_OR_RETURN(d2, outer_scan.Next());
     }
     if (stats != nullptr) stats->EndPhase();
-    const DocId outer_doc = participating[pick];
 
     acc.clear();
 
@@ -345,18 +256,18 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
 
       LazyEntry* cached = cache.Get(c.term);
       if (cached != nullptr) {
-        ++run_stats_.cache_hits;
+        ++cache_hits;
         TEXTJOIN_RETURN_IF_ERROR(walk(*cached));
       } else {
         TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "HVNL cache fill"));
         const int64_t ei = ctx.inner_index->FindEntry(c.term);
         TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
                                   ctx.inner_index->FetchEntryRaw(c.term));
-        ++run_stats_.entry_fetches;
+        ++entry_fetches;
         LazyEntry fetched(index_entries[static_cast<size_t>(ei)].cell_count,
                           compression, std::move(raw));
         TEXTJOIN_RETURN_IF_ERROR(walk(fetched));
-        run_stats_.evictions += cache.Put(c.term, std::move(fetched));
+        evictions += cache.Put(c.term, std::move(fetched));
       }
     }
 
@@ -368,18 +279,11 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     }
     result.push_back(OuterMatches{outer_doc, heap.TakeSorted()});
   }
-  if (greedy) {
-    // Restore the canonical ascending-outer-document result order.
-    std::sort(result.begin(), result.end(),
-              [](const OuterMatches& a, const OuterMatches& b) {
-                return a.outer_doc < b.outer_doc;
-              });
-  }
   if (stats != nullptr) {
     stats->SetCounter("directory_probes", directory_probes);
-    stats->SetCounter("entry_fetches", run_stats_.entry_fetches);
-    stats->SetCounter("cache_hits", run_stats_.cache_hits);
-    stats->SetCounter("evictions", run_stats_.evictions);
+    stats->SetCounter("entry_fetches", entry_fetches);
+    stats->SetCounter("cache_hits", cache_hits);
+    stats->SetCounter("evictions", evictions);
   }
   return result;
 }

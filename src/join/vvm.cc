@@ -30,7 +30,7 @@ int64_t VvmJoin::Passes(const JoinContext& ctx, const JoinSpec& spec) {
 }
 
 Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
-                                const JoinSpec& spec) {
+                                const JoinSpec& spec) const {
   TEXTJOIN_RETURN_IF_ERROR(ValidateJoinInputs(ctx, spec));
   if (ctx.inner_index == nullptr || ctx.outer_index == nullptr) {
     return Status::InvalidArgument(

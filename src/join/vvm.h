@@ -19,7 +19,7 @@ class VvmJoin : public TextJoinAlgorithm {
   Algorithm kind() const override { return Algorithm::kVvm; }
 
   Result<JoinResult> Run(const JoinContext& ctx,
-                         const JoinSpec& spec) override;
+                         const JoinSpec& spec) const override;
 
   // Number of scan passes ceil(SM/M) the executor would use; -1 when the
   // buffer cannot hold even two inverted entries.

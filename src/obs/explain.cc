@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "cost/cpu_model.h"
-#include "kernel/calibrate.h"
 #include "kernel/dispatch.h"
+#include "obs/calibrate.h"
 
 namespace textjoin {
 
@@ -60,7 +60,7 @@ void AppendCounters(const PhaseStats& phase, std::string* out) {
 }
 
 // The calibrated per-cell decode rate of a posting format.
-double DecodeNsPerCell(const kernel::CalibratedCosts& cal,
+double DecodeNsPerCell(const CalibratedCosts& cal,
                        PostingCompression format) {
   switch (format) {
     case PostingCompression::kNone:
@@ -89,7 +89,7 @@ const char* FormatName(PostingCompression format) {
 }  // namespace
 
 double CalibratedCpuNs(const CpuStats& cpu, PostingCompression format) {
-  const kernel::CalibratedCosts& cal = kernel::Calibrated();
+  const CalibratedCosts& cal = Calibrated();
   return static_cast<double>(cpu.cell_compares) * cal.ns_per_merge_step +
          static_cast<double>(cpu.accumulations) * cal.ns_per_accumulation +
          static_cast<double>(cpu.cells_decoded) *
@@ -273,7 +273,7 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
     // Bridge from machine-independent counts to this host's nanoseconds.
     // Calibrated constants vary per machine and build, so this line is
     // gated with the other wall-clock output the golden tests exclude.
-    const kernel::CalibratedCosts& cal = kernel::Calibrated();
+    const CalibratedCosts& cal = Calibrated();
     const PostingCompression format = plan.inner_compression;
     char buf[200];
     std::snprintf(buf, sizeof(buf),

@@ -57,7 +57,7 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
                                  const ExplainOptions& options = {});
 
 // Wall time, in ns, the counted work of `cpu` costs at this host's
-// calibrated rates (kernel/calibrate.h): merge steps, accumulations, and
+// calibrated rates (obs/calibrate.h): merge steps, accumulations, and
 // decoded cells at the decode rate of `format`.
 double CalibratedCpuNs(const CpuStats& cpu, PostingCompression format);
 

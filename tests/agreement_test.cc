@@ -76,11 +76,6 @@ TEST_P(AgreementTest, AllAlgorithmsAgree) {
   ASSERT_TRUE(r.ok()) << "HVNL: " << r.status();
   EXPECT_EQ(*r, expected) << "HVNL";
 
-  HvnlJoin hvnl_lru(HvnlJoin::Options{HvnlJoin::Replacement::kLru});
-  r = hvnl_lru.Run(ctx, spec);
-  ASSERT_TRUE(r.ok()) << "HVNL/LRU: " << r.status();
-  EXPECT_EQ(*r, expected) << "HVNL/LRU";
-
   VvmJoin vvm;
   r = vvm.Run(ctx, spec);
   ASSERT_TRUE(r.ok()) << "VVM: " << r.status();

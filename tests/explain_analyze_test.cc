@@ -15,7 +15,7 @@
 #include "join/hhnl.h"
 #include "join/hvnl.h"
 #include "join/vvm.h"
-#include "kernel/calibrate.h"
+#include "obs/calibrate.h"
 #include "obs/explain.h"
 #include "obs/query_stats.h"
 #include "planner/planner.h"
@@ -254,7 +254,7 @@ TEST(ExplainAnalyzeTest, WallTimeOptionControlsWallLine) {
 // the matching calibrated rates, and the plan must carry the format the
 // planner read off the index.
 TEST(ExplainAnalyzeTest, CalibratedLineChargesTheInnerPostingFormat) {
-  const kernel::CalibratedCosts& cal = kernel::Calibrated();
+  const CalibratedCosts& cal = Calibrated();
   struct Case {
     PostingCompression format;
     const char* name;

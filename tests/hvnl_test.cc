@@ -9,7 +9,9 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
+using testing_util::BuildCollection;
 using testing_util::MakeFixture;
+using testing_util::MeteredRun;
 using testing_util::RandomCollection;
 
 std::unique_ptr<testing_util::JoinFixture> SmallFixture(SimulatedDisk* disk) {
@@ -48,10 +50,9 @@ TEST(HvnlTest, SmallCacheSameResultMoreFetches) {
   JoinContext roomy = f->Context(200);
   ASSERT_GE(HvnlJoin::CacheCapacity(roomy, spec),
             f->inner_index.num_terms());
-  auto r1 = join.Run(roomy, spec);
-  ASSERT_TRUE(r1.ok());
-  int64_t fetches_roomy = join.run_stats().entry_fetches;
-  EXPECT_GT(join.run_stats().cache_hits, 0);
+  JoinResult r1;
+  const QueryStats s1 = MeteredRun(join, &disk, roomy, spec, &r1);
+  EXPECT_GT(s1.root.Counter("cache_hits"), 0);
 
   // Find a buffer with a small but positive cache (well below the number
   // of inverted entries, so the cache thrashes).
@@ -64,11 +65,57 @@ TEST(HvnlTest, SmallCacheSameResultMoreFetches) {
   ASSERT_GE(cap, 1);
   ASSERT_LE(cap, 12);
   ASSERT_LT(cap, f->inner_index.num_terms());
-  auto r2 = join.Run(tight, spec);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r1, *r2);  // results identical despite thrashing
-  EXPECT_GT(join.run_stats().entry_fetches, fetches_roomy);
-  EXPECT_GT(join.run_stats().evictions, 0);
+  JoinResult r2;
+  const QueryStats s2 = MeteredRun(join, &disk, tight, spec, &r2);
+  EXPECT_EQ(r1, r2);  // results identical despite thrashing
+  EXPECT_GT(s2.root.Counter("entry_fetches"),
+            s1.root.Counter("entry_fetches"));
+  EXPECT_GT(s2.root.Counter("evictions"), 0);
+}
+
+// The paper's replacement policy, checked victim by victim. C1 holds four
+// terms whose inverted entries each span more than a page, so a small
+// buffer caches exactly two entries. The outer documents, in storage
+// order, and each term's document frequency in C2:
+//   d0 {1, 2}   d1 {3}   d2 {1}   d3 {4}   d4 {1, 3}
+//   df2: t1 = 3, t2 = 1, t3 = 2, t4 = 1
+// Lowest-df replacement: d0 fetches 1 and 2; d1 fetches 3 and evicts 2
+// (df 1); d2 hits 1; d3 fetches 4 and evicts it again at once (df 1 is
+// the lowest); d4 hits 1 and 3. That is 4 fetches, 3 hits, 2 evictions.
+// LRU on the same trace would evict 1, 2, 3 and 4 in turn: 6 fetches,
+// 1 hit, 4 evictions.
+TEST(HvnlTest, EvictsTheEntryWithLowestOuterDocumentFrequency) {
+  SimulatedDisk disk(256);
+  std::vector<std::vector<DCell>> inner_docs;
+  for (int i = 0; i < 60; ++i) {
+    const Weight w = static_cast<Weight>(1 + i % 3);
+    inner_docs.push_back({{1, w}, {2, w}, {3, w}, {4, w}});
+  }
+  auto f = MakeFixture(&disk, BuildCollection(&disk, "c1", inner_docs),
+                       BuildCollection(&disk, "c2",
+                                       {{{1, 1}, {2, 1}},
+                                        {{3, 2}},
+                                        {{1, 3}},
+                                        {{4, 1}},
+                                        {{1, 1}, {3, 1}}}));
+  JoinSpec spec;
+  spec.lambda = 2;
+  JoinContext ctx = f->Context(0);
+  int64_t cap = -1;
+  for (int64_t b = 1; b <= 50 && cap < 2; ++b) {
+    ctx = f->Context(b);
+    cap = HvnlJoin::CacheCapacity(ctx, spec);
+  }
+  ASSERT_EQ(cap, 2);
+  ASSERT_EQ(f->inner_index.num_terms(), 4);
+
+  JoinResult got;
+  const QueryStats stats = MeteredRun(HvnlJoin(), &disk, ctx, spec, &got);
+  EXPECT_EQ(got, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
+  EXPECT_EQ(stats.root.Counter("cache_capacity_X"), 2);
+  EXPECT_EQ(stats.root.Counter("entry_fetches"), 4);
+  EXPECT_EQ(stats.root.Counter("cache_hits"), 3);
+  EXPECT_EQ(stats.root.Counter("evictions"), 2);
 }
 
 TEST(HvnlTest, InfeasibleBufferErrors) {
@@ -78,20 +125,6 @@ TEST(HvnlTest, InfeasibleBufferErrors) {
   auto r = join.Run(f->Context(1), JoinSpec{});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(HvnlTest, LruPolicySameResults) {
-  SimulatedDisk disk(256);
-  auto f = SmallFixture(&disk);
-  JoinSpec spec;
-  spec.lambda = 4;
-  HvnlJoin paper_policy;
-  HvnlJoin lru(HvnlJoin::Options{HvnlJoin::Replacement::kLru});
-  auto r1 = paper_policy.Run(f->Context(60), spec);
-  auto r2 = lru.Run(f->Context(60), spec);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r1, *r2);
 }
 
 TEST(HvnlTest, OuterSubsetReadRandomly) {
@@ -126,51 +159,9 @@ TEST(HvnlTest, FewerFetchesThanTermOccurrences) {
   auto f = SmallFixture(&disk);
   JoinSpec spec;
   spec.lambda = 2;
-  HvnlJoin join;
-  ASSERT_TRUE(join.Run(f->Context(200), spec).ok());
-  EXPECT_LE(join.run_stats().entry_fetches, f->inner_index.num_terms());
-}
-
-TEST(HvnlTest, GreedyOrderSameResults) {
-  SimulatedDisk disk(256);
-  auto f = SmallFixture(&disk);
-  JoinSpec spec;
-  spec.lambda = 4;
-  HvnlJoin storage_order;
-  HvnlJoin greedy(HvnlJoin::Options{
-      HvnlJoin::Replacement::kLowestOuterDf,
-      HvnlJoin::OuterOrder::kGreedyIntersection});
-  // Pick a pressured cache so the order actually matters.
-  JoinContext ctx = f->Context(0);
-  for (int64_t b = 5; b <= 300; ++b) {
-    ctx = f->Context(b);
-    int64_t cap = HvnlJoin::CacheCapacity(ctx, spec);
-    if (cap >= 5 && cap < f->inner_index.num_terms() / 2) break;
-  }
-  auto r1 = storage_order.Run(ctx, spec);
-  auto r2 = greedy.Run(ctx, spec);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(*r1, *r2);
-  // The greedy order cannot fetch more entries than storage order does
-  // for the same cache (it only reorders reuse opportunities closer).
-  // It may fetch the same amount; the ablation bench quantifies typical
-  // savings and the extra positioned document reads.
-  EXPECT_GT(greedy.run_stats().cache_hits, 0);
-}
-
-TEST(HvnlTest, GreedyOrderWithSubset) {
-  SimulatedDisk disk(256);
-  auto f = SmallFixture(&disk);
-  JoinSpec spec;
-  spec.lambda = 3;
-  spec.outer_subset = {2, 5, 9, 14, 20};
-  HvnlJoin greedy(HvnlJoin::Options{
-      HvnlJoin::Replacement::kLowestOuterDf,
-      HvnlJoin::OuterOrder::kGreedyIntersection});
-  auto got = greedy.Run(f->Context(60), spec);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(*got, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
+  const QueryStats stats =
+      MeteredRun(HvnlJoin(), &disk, f->Context(200), spec);
+  EXPECT_LE(stats.root.Counter("entry_fetches"), f->inner_index.num_terms());
 }
 
 TEST(HvnlTest, StatsReportCacheHitsOnRepeatedTerms) {
@@ -194,11 +185,6 @@ TEST(HvnlTest, StatsReportCacheHitsOnRepeatedTerms) {
   EXPECT_EQ(stats.root.label, "HVNL");
   EXPECT_GT(stats.root.Counter("cache_hits"), 0);
   EXPECT_EQ(stats.root.Counter("evictions"), 0);
-  // The counters mirror the executor's own RunStats exactly.
-  EXPECT_EQ(stats.root.Counter("cache_hits"), join.run_stats().cache_hits);
-  EXPECT_EQ(stats.root.Counter("entry_fetches"),
-            join.run_stats().entry_fetches);
-  EXPECT_EQ(stats.root.Counter("evictions"), join.run_stats().evictions);
 }
 
 TEST(HvnlTest, StatsReportEvictionsUnderCachePressure) {

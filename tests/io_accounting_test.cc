@@ -14,6 +14,7 @@ namespace textjoin {
 namespace {
 
 using testing_util::MakeFixture;
+using testing_util::MeteredRun;
 using testing_util::RandomCollection;
 
 // These tests close the loop between the analytic cost model (Section 5)
@@ -144,9 +145,8 @@ TEST(IoAccountingTest, HvnlFetchesExactlySharedTermsInCase2) {
     }
   }
   ASSERT_TRUE(found);
-  HvnlJoin join;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
-  EXPECT_EQ(join.run_stats().entry_fetches, shared);
+  const QueryStats stats = MeteredRun(HvnlJoin(), &disk, ctx, spec);
+  EXPECT_EQ(stats.root.Counter("entry_fetches"), shared);
 }
 
 TEST(IoAccountingTest, HvnlPrefetchesInvertedFileWhenCheaper) {
@@ -158,14 +158,11 @@ TEST(IoAccountingTest, HvnlPrefetchesInvertedFileWhenCheaper) {
   JoinContext ctx = f->Context(300);
   ASSERT_GE(HvnlJoin::CacheCapacity(ctx, spec), f->inner_index.num_terms());
 
-  disk.ResetStats();
-  disk.ResetHeads();
-  HvnlJoin join;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
+  const QueryStats stats = MeteredRun(HvnlJoin(), &disk, ctx, spec);
   // The paper's case-1 alternative: one sequential scan of the inverted
   // file replaces the positioned per-entry fetches entirely.
-  EXPECT_EQ(join.run_stats().entry_fetches, 0);
-  EXPECT_GT(join.run_stats().cache_hits, 0);
+  EXPECT_EQ(stats.root.Counter("entry_fetches"), 0);
+  EXPECT_GT(stats.root.Counter("cache_hits"), 0);
   EXPECT_LE(disk.stats().total_reads(),
             f->outer.size_in_pages() + f->inner_index.size_in_pages() +
                 f->inner_index.btree().size_in_pages());

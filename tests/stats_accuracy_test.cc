@@ -24,6 +24,7 @@ namespace {
 
 using testing_util::JoinFixture;
 using testing_util::MakeFixture;
+using testing_util::MeteredRun;
 using testing_util::RandomCollection;
 
 constexpr int64_t kBufferSweep[] = {8, 60, 300};
@@ -105,19 +106,6 @@ TEST(StatsAccuracyTest, PhaseDecompositionSumsToTotalsExactly) {
       }
     }
   }
-}
-
-// Runs `algo` with a collector; returns the finished stats tree.
-QueryStats MeteredRun(TextJoinAlgorithm& algo, SimulatedDisk* disk,
-                      const JoinContext& base, const JoinSpec& spec) {
-  disk->ResetStats();
-  disk->ResetHeads();
-  QueryStatsCollector collector(disk);
-  JoinContext ctx = base;
-  ctx.stats = &collector;
-  auto result = algo.Run(ctx, spec);
-  TEXTJOIN_CHECK_OK(result.status());
-  return collector.Finish();
 }
 
 // (b) Measured weighted cost vs the model's prediction, per algorithm.

@@ -13,6 +13,7 @@
 #include "join/executor.h"
 #include "join/similarity.h"
 #include "join/topk.h"
+#include "obs/query_stats.h"
 #include "storage/disk_manager.h"
 #include "text/collection.h"
 
@@ -156,6 +157,24 @@ inline std::unique_ptr<JoinFixture> MakeFixture(
   disk->ResetStats();
   disk->ResetHeads();
   return f;
+}
+
+// Runs `algo` with a QueryStatsCollector attached, after resetting the
+// disk's stats and heads; checks the run succeeded, stores its result in
+// `*result` when non-null and returns the finished stats tree.
+inline QueryStats MeteredRun(const TextJoinAlgorithm& algo,
+                             SimulatedDisk* disk, const JoinContext& base,
+                             const JoinSpec& spec,
+                             JoinResult* result = nullptr) {
+  disk->ResetStats();
+  disk->ResetHeads();
+  QueryStatsCollector collector(disk);
+  JoinContext ctx = base;
+  ctx.stats = &collector;
+  auto got = algo.Run(ctx, spec);
+  TEXTJOIN_CHECK_OK(got.status());
+  if (result != nullptr) *result = std::move(got).value();
+  return collector.Finish();
 }
 
 }  // namespace testing_util
