@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/inverted_file.h"
-#include "join/pruning.h"
 #include "join/similarity.h"
 #include "join/topk.h"
 #include "kernel/aligned.h"
@@ -93,15 +92,11 @@ struct TrivialCollections {
   DocumentCollection c1, c2;
 };
 
-// The galloping switch in one picture: sweep the document length ratio
-// with the linear walk (arg 0: WeightedDotDetailed) and with HHNL's merge,
-// which picks by length (arg 1: WeightedDotPruned against a heap that is
-// not full, so it never exits early). Linear pays short+long steps per
-// pair, galloping short*(2*log2(ratio)+2); the switch is at
-// kGallopSizeRatio. Both produce bit-identical sums.
+// The term merge across document length ratios: one 48-cell document
+// against documents 1-256x longer. The linear walk pays short+long steps
+// per pair.
 void BM_MergeSkew(benchmark::State& state) {
   const int64_t skew = state.range(0);
-  const bool by_length = state.range(1) != 0;
   const int64_t short_terms = 48;
   const int64_t long_terms = short_terms * skew;
   SimulatedDisk disk(4096);
@@ -109,60 +104,14 @@ void BM_MergeSkew(benchmark::State& state) {
   auto ctx = SimilarityContext::Create(cols.c1, cols.c2, {});
   Document a = MakeDoc(short_terms, long_terms * 4, 1);
   Document b = MakeDoc(long_terms, long_terms * 4, 2);
-  SuffixBounds sa, sb;
-  sa.Build(a, *ctx);
-  sb.Build(b, *ctx);
-  const TopKAccumulator heap(1);
-  int64_t steps = 0;
   for (auto _ : state) {
-    DotDetail d =
-        by_length
-            ? WeightedDotPruned(a, b, *ctx, sa, sb, 1.0, 0, heap).detail
-            : WeightedDotDetailed(a, b, *ctx);
-    steps = d.merge_steps;
-    benchmark::DoNotOptimize(d.acc);
+    benchmark::DoNotOptimize(WeightedDot(a, b, *ctx));
   }
-  state.counters["merge_steps"] = static_cast<double>(steps);
-  state.SetItemsProcessed(state.iterations() * steps);
+  state.SetItemsProcessed(state.iterations() * (short_terms + long_terms));
   state.SetBytesProcessed(state.iterations() * (short_terms + long_terms) *
                           static_cast<int64_t>(sizeof(DCell)));
 }
-BENCHMARK(BM_MergeSkew)->ArgsProduct({{1, 4, 16, 64, 256}, {0, 1}});
-
-// The bound-check fast path HHNL runs before each candidate merge: three
-// precomputed scalars per side, two multiplies and a heap comparison —
-// O(1) regardless of document size, which is the whole point of checking
-// before merging.
-void BM_PairBoundCheck(benchmark::State& state) {
-  const int64_t terms = state.range(0);
-  SimulatedDisk disk(4096);
-  TrivialCollections cols(&disk);
-  auto ctx = SimilarityContext::Create(cols.c1, cols.c2, {});
-  Document outer = MakeDoc(terms, terms * 4, 1);
-  DocBounds outer_bounds = ComputeDocBounds(outer, *ctx, 1.0);
-  constexpr int kCandidates = 256;
-  std::vector<DocBounds> cand;
-  for (int i = 0; i < kCandidates; ++i) {
-    cand.push_back(ComputeDocBounds(
-        MakeDoc(terms, terms * 4, 100 + static_cast<uint64_t>(i)), *ctx, 1.0));
-  }
-  TopKAccumulator heap(20);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    heap.Add(static_cast<DocId>(i),
-             static_cast<double>(1 + rng.NextBounded(1000)));
-  }
-  for (auto _ : state) {
-    int64_t pruned = 0;
-    for (int i = 0; i < kCandidates; ++i) {
-      const double ub = PairUpperBound(outer_bounds, cand[i]) * kBoundSlack;
-      pruned += heap.CannotQualify(static_cast<DocId>(i), ub) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(pruned);
-  }
-  state.SetItemsProcessed(state.iterations() * kCandidates);
-}
-BENCHMARK(BM_PairBoundCheck)->Arg(32)->Arg(512)->Arg(2048);
+BENCHMARK(BM_MergeSkew)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_TopKAdd(benchmark::State& state) {
   const int64_t k = state.range(0);

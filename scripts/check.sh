@@ -12,8 +12,7 @@
 #                               under three seed offsets: randomized
 #                               cancellation points plus every executor
 #                               checked bit for bit against brute force
-#                               (HHNL pruning, posting formats, multi-pass
-#                               VVM)
+#                               (posting formats, multi-pass VVM)
 #   scripts/check.sh recovery   crash-safety suite (`ctest -L recovery`)
 #                               under three seed offsets: a crash injected
 #                               after every WAL append and at every

@@ -48,12 +48,6 @@ struct CostInputs {
   // be read with random I/Os (Group 3). False when C2 is originally small
   // and scanned sequentially (Groups 1, 2, 4, 5).
   bool outer_reads_random = false;
-
-  // CPU-model pruning input (cost/cpu_model.h): the expected fraction of
-  // candidate pairs HHNL's top-lambda bounds skip. The I/O formulas never
-  // read it; 0 gives the unpruned CPU estimate. The planner fills it from
-  // ExpectedPruningRate.
-  double pruning_rate = 0.0;
 };
 
 // Cost of one algorithm under the two device models.

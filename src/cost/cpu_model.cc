@@ -42,41 +42,21 @@ CpuDerived Derive(const CostInputs& in) {
 
 }  // namespace
 
-double ExpectedPruningRate(const CostInputs& in) {
-  const double candidates =
-      std::max(1.0, in.query.delta *
-                        static_cast<double>(in.c1.num_documents));
-  const double lambda = static_cast<double>(std::max<int64_t>(
-      0, in.query.lambda));
-  const double losing = std::max(0.0, 1.0 - lambda / candidates);
-  return std::min(0.9, 0.5 * losing);
-}
-
-CpuEstimate HhnlCpuCost(const CostInputs& in) {
+CpuEstimate HhnlCpuCost(const CostInputs& in, bool backward) {
   CpuDerived d = Derive(in);
   CpuEstimate e;
-  // Every pair walks both sorted cell lists: between max(K1,K2) and
-  // K1+K2 steps; the expectation is K1 + K2 - common.
-  double merge_per_pair = d.K1 + d.K2 - d.common;
-  // Skewed lengths switch to galloping: the shorter document's cells each
-  // cost one probe step plus ~2*log2(ratio) search probes.
-  const double shorter = std::max(1.0, std::min(d.K1, d.K2));
-  const double ratio = std::max(d.K1, d.K2) / shorter;
-  if (ratio >= 16.0) {
-    const double probes = 2.0 * std::log2(ratio) + 2.0;
-    merge_per_pair = std::min(merge_per_pair, shorter * probes + d.common);
+  // Each scanned document's cells are probed once per resident batch.
+  if (backward) {
+    const double X = std::max(1.0, HhnlBackwardBatchSize(in));
+    e.cell_compares = std::ceil(d.N1 / X) * d.m * d.K2;
+  } else {
+    const double X = std::max(1.0, HhnlBatchSize(in));
+    e.cell_compares = std::ceil(d.m / X) * d.N1 * d.K1;
   }
-  const double rate = std::clamp(in.pruning_rate, 0.0, 1.0);
-  const double survivors = 1.0 - rate;
-  e.cell_compares = d.m * d.N1 * survivors * merge_per_pair;
-  e.accumulations = d.m * d.N1 * survivors * d.common;
-  // Only non-zero surviving pairs reach the heap.
-  e.heap_offers = d.m * d.N1 * d.delta * survivors;
+  e.accumulations = d.m * d.N1 * d.common;
+  // Only non-zero pairs reach the heap.
+  e.heap_offers = d.m * d.N1 * d.delta;
   e.cells_decoded = 0;  // HHNL reads documents, not inverted cells
-  if (rate > 0) {
-    e.bound_checks = d.m * d.N1;  // one pre-check per pair
-    e.pairs_pruned = d.m * d.N1 * rate;
-  }
   return e;
 }
 

@@ -12,8 +12,9 @@ namespace textjoin {
 // as further work (Section 7); these counters are the measurement side
 // of that extension — see cost/cpu_model.h for the analytic side.
 struct CpuStats {
-  // Steps of the sorted-merge walk over d-cells (HHNL) — one per cell
-  // visited while intersecting two documents.
+  // HHNL: one per cell of a scanned document probed against the resident
+  // batch's term table, summed over batches. HVNL and VVM: one per
+  // inverted-entry cell their merge walks visit.
   int64_t cell_compares = 0;
   // Similarity accumulations: one multiply-add into a running pair score.
   int64_t accumulations = 0;
@@ -22,15 +23,12 @@ struct CpuStats {
   // i-cells decoded from fetched or scanned inverted entries.
   int64_t cells_decoded = 0;
 
-  // HHNL pruning counters (join/pruning.h). `bound_checks` is work done
-  // (one upper-bound evaluation each); the other two count work AVOIDED:
-  // candidate pairs skipped before any merge step and merges cut short by
-  // the running suffix bound.
+  // Always 0: no executor prunes — HHNL, HVNL and VVM all accumulate every
+  // candidate. Kept so readers of the counters (the end-to-end benchmark's
+  // prune yield) still compile.
   int64_t bound_checks = 0;
   int64_t pairs_pruned = 0;
   int64_t early_exits = 0;
-  // Always 0: HVNL and VVM accumulate every candidate. Kept so readers of
-  // the counter (the end-to-end benchmark's prune yield) still compile.
   int64_t candidates_suppressed = 0;
 
   CpuStats& operator+=(const CpuStats& o) {
@@ -62,15 +60,10 @@ struct CpuStats {
 
   // A single scalar for comparisons: every counted operation weighted
   // equally (callers can weight the fields themselves when they know
-  // their machine). Bound checks are work performed; the other pruning
-  // counters record work avoided and do not contribute.
+  // their machine).
   double Total() const {
     return static_cast<double>(cell_compares + accumulations + heap_offers +
-                               cells_decoded + bound_checks);
-  }
-
-  bool any_pruning() const {
-    return bound_checks != 0 || pairs_pruned != 0 || early_exits != 0;
+                               cells_decoded);
   }
 
   std::string ToString() const {

@@ -2,100 +2,112 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/logging.h"
-#include "join/pruning.h"
-#include "kernel/aligned.h"
-#include "kernel/dispatch.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
 
 namespace {
 
-// Per-side pruning state of the HHNL pair loops (join/pruning.h): every
-// pair is bound-checked before its merge, and every merge may stop early
-// once its suffix bound cannot reach the heap's threshold. Bound profiles
-// come from the catalog when idf weighting is off (no cell scan) and from
-// one pass over the cells otherwise.
-struct PairPruner {
-  explicit PairPruner(const SimilarityContext& sim) : sim(sim) {}
-
-  const SimilarityContext& sim;
-
-  // Bound-tightness telemetry: mean score/bound ratio of evaluated pairs.
-  double tightness_sum = 0;
-  int64_t tightness_n = 0;
-
-  DocBounds Bounds(const DocumentCollection& collection, DocId doc,
-                   const Document& d, const DocumentNorms& norms) const {
-    const double n = sim.config.cosine_normalize ? norms.of(doc) : 1.0;
-    return sim.config.use_idf ? ComputeDocBounds(d, sim, n)
-                              : CatalogDocBounds(collection, doc, n);
-  }
-
-  void ReportTightness(QueryStatsCollector* stats) const {
-    if (stats == nullptr || tightness_n == 0) return;
-    stats->SetCounter(
-        "bound_tightness_pct",
-        static_cast<int64_t>(std::lround(
-            100.0 * tightness_sum / static_cast<double>(tightness_n))));
-  }
-
-  // Batched PairUpperBound of one fixed document against the resident
-  // batch, through the dispatched kernel. `fixed_is_a` says which argument
-  // position the fixed document holds in PairUpperBound (the trailing
-  // inv-norm multiplies associate left), so the batched bounds are
-  // bit-identical to the per-pair calls they replace.
-  void BatchPairBounds(const DocBounds& fixed,
-                       const std::vector<DocBounds>& cands, bool fixed_is_a,
-                       kernel::DoubleBuffer* out) const {
-    static_assert(sizeof(DocBounds) == 4 * sizeof(double),
-                  "pair_bounds kernel assumes DocBounds is 4 packed doubles");
-    if (cands.empty()) return;
-    out->resize(cands.size());
-    kernel::Active().pair_bounds(
-        reinterpret_cast<const double*>(cands.data()),
-        static_cast<int64_t>(cands.size()), fixed.max_w, fixed.sum_w,
-        fixed.norm_w, fixed.inv_norm, fixed_is_a, out->data());
-  }
-
-  // Evaluates one candidate pair against `heap`, offering the finalized
-  // score when the pair survives the bound checks. `inner_doc` is the
-  // candidate identity (C1 side) for tie-breaking; `pair_ub` is the pair's
-  // PairUpperBound from the batched kernel.
-  void EvaluatePair(const Document& d1, const Document& d2,
-                    const DocBounds& b1, const DocBounds& b2,
-                    const SuffixBounds& s1, const SuffixBounds& s2,
-                    DocId inner_doc, DocId outer_doc, TopKAccumulator* heap,
-                    CpuStats* cpu, double pair_ub) {
-    if (cpu != nullptr) ++cpu->bound_checks;
-    if (heap->CannotQualify(inner_doc, pair_ub * kBoundSlack)) {
-      if (cpu != nullptr) ++cpu->pairs_pruned;
-      return;
+// Transient inverted index of HHNL's resident batch (DESIGN.md section 8).
+// Build inverts the batch's cells into CSR runs: term t's run is
+// postings_[start_[t], start_[t + 1]), one (batch position, weight) per
+// batch document holding t, over a dense start table up to the batch's
+// largest term. Score walks one scanned document's ascending cells, looks
+// each term up once, and scatters every contribution into a dense
+// per-batch accumulator. The arrays are reused across batches.
+//
+// Each pair still adds the contributions (w_inner * w_outer) * factor of
+// its common terms in ascending term order onto 0.0 — exactly the sum a
+// per-pair merge computes — so scores are bit-identical to WeightedDot.
+class BatchIndex {
+ public:
+  void Build(const std::vector<Document>& batch) {
+    TermId max_term = 0;
+    size_t num_cells = 0;
+    for (const Document& d : batch) {
+      if (d.cells().empty()) continue;
+      max_term = std::max(max_term, d.cells().back().term);
+      num_cells += d.cells().size();
     }
-    PrunedDotResult r =
-        WeightedDotPruned(d1, d2, sim, s1, s2, b1.inv_norm * b2.inv_norm,
-                          inner_doc, *heap);
+    // Run bounds and batch positions are 32-bit.
+    TEXTJOIN_CHECK_LE(std::max(num_cells, batch.size()),
+                      size_t{std::numeric_limits<uint32_t>::max()});
+    // Count each term into start_[t], prefix-sum to run ends, then fill
+    // back to front so start_[t] ends at the run's begin and every run
+    // lists batch positions in ascending order.
+    start_.assign(static_cast<size_t>(max_term) + 2, 0);
+    for (const Document& d : batch) {
+      for (const DCell& c : d.cells()) ++start_[c.term];
+    }
+    for (size_t t = 1; t < start_.size(); ++t) start_[t] += start_[t - 1];
+    postings_.resize(num_cells);
+    for (size_t i = batch.size(); i-- > 0;) {
+      for (const DCell& c : batch[i].cells()) {
+        postings_[--start_[c.term]] = Posting{static_cast<uint32_t>(i),
+                                              c.weight};
+      }
+    }
+    acc_.assign(batch.size(), 0.0);
+    touched_.clear();
+  }
+
+  // Scores `doc` against every batch document and calls offer(i, acc) for
+  // each batch position i whose accumulated score is positive. Meters one
+  // cell compare per cell of `doc`, one accumulation per scatter add and
+  // one heap offer per offered pair.
+  template <typename Offer>
+  void Score(const Document& doc, const SimilarityContext& sim, CpuStats* cpu,
+             Offer&& offer) {
+    const size_t table_end = start_.size() - 1;  // terms below are indexed
+    int64_t adds = 0;
+    for (const DCell& c : doc.cells()) {
+      // Cells ascend, so nothing past the batch's largest term can match.
+      if (c.term >= table_end) break;
+      const uint32_t begin = start_[c.term];
+      const uint32_t end = start_[c.term + 1];
+      if (begin == end) continue;
+      const double w = static_cast<double>(c.weight);
+      const double factor = sim.TermFactor(c.term);
+      for (uint32_t k = begin; k < end; ++k) {
+        const Posting p = postings_[k];
+        // A slot still at 0.0 is untouched by this document. (Were an add
+        // ever 0.0 the slot could be listed twice; the reset below turns
+        // the second visit into a no-op.)
+        if (acc_[p.pos] == 0.0) touched_.push_back(p.pos);
+        acc_[p.pos] += w * static_cast<double>(p.weight) * factor;
+      }
+      adds += end - begin;
+    }
+    int64_t offers = 0;
+    for (const uint32_t i : touched_) {
+      const double acc = acc_[i];
+      acc_[i] = 0.0;
+      if (acc <= 0) continue;
+      ++offers;
+      offer(i, acc);
+    }
+    touched_.clear();
     if (cpu != nullptr) {
-      cpu->cell_compares += r.detail.merge_steps;
-      cpu->accumulations += r.detail.common_terms;
-      cpu->bound_checks += r.bound_checks;
+      cpu->cell_compares += static_cast<int64_t>(doc.cells().size());
+      cpu->accumulations += adds;
+      cpu->heap_offers += offers;
     }
-    if (r.pruned) {
-      if (cpu != nullptr) ++cpu->early_exits;
-      return;
-    }
-    const double acc = r.detail.acc;
-    if (acc <= 0) return;
-    if (cpu != nullptr) ++cpu->heap_offers;
-    const double score = sim.Finalize(acc, inner_doc, outer_doc);
-    if (pair_ub > 0) {
-      tightness_sum += score / pair_ub;
-      ++tightness_n;
-    }
-    heap->Add(inner_doc, score);
   }
+
+ private:
+  struct Posting {
+    uint32_t pos;  // position of the document in the batch
+    Weight weight;
+  };
+
+  std::vector<uint32_t> start_;   // max_term + 2 entries
+  std::vector<Posting> postings_;
+  std::vector<double> acc_;       // one slot per batch document
+  std::vector<uint32_t> touched_;
 };
 
 }  // namespace
@@ -127,13 +139,13 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
   }
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
+  const SimilarityContext& sim = *ctx.similarity;
   QueryStatsCollector* stats = ctx.stats;
   CpuStats* cpu = stats != nullptr ? stats->cpu() : nullptr;
   if (stats != nullptr) {
     stats->SetRootLabel("HHNL");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(*ctx.similarity);
 
   JoinResult result;
   result.reserve(participating.size());
@@ -141,6 +153,7 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
   // Sequential outer scan state (only used when no subset is given). The
   // scanner persists across batches so the outer collection is read once.
   auto outer_scan = ctx.outer->Scan();
+  BatchIndex index;
 
   size_t pos = 0;
   while (pos < participating.size()) {
@@ -168,42 +181,22 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
     pos += batch_size;
     if (stats != nullptr) stats->AddCounter("outer_batches", 1);
 
-    // Bound profiles of the resident batch (outer side).
-    std::vector<DocBounds> batch_bounds(batch_size);
-    std::vector<SuffixBounds> batch_suffix(batch_size);
-    for (size_t i = 0; i < batch_size; ++i) {
-      batch_bounds[i] = pruner.Bounds(*ctx.outer, batch_docs[i], batch[i],
-                                      ctx.similarity->outer_norms);
-      batch_suffix[i].Build(batch[i], *ctx.similarity);
-    }
-
     std::vector<TopKAccumulator> heaps(batch_size,
                                        TopKAccumulator(spec.lambda));
     // Pass over the (participating) inner documents for this batch.
     PhaseScope scan_inner(stats, phase::kScanInner);
-    SuffixBounds s1;
-    kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
+    index.Build(batch);
     TEXTJOIN_RETURN_IF_ERROR(ForEachInnerDoc(
         ctx, spec, [&](DocId inner_doc, const Document& d1) {
-          const DocBounds b1 = pruner.Bounds(*ctx.inner, inner_doc, d1,
-                                             ctx.similarity->inner_norms);
-          s1.Build(d1, *ctx.similarity);
-          // One kernel call bounds the inner document against the whole
-          // resident batch (the inner document is PairUpperBound's first
-          // argument here).
-          pruner.BatchPairBounds(b1, batch_bounds, /*fixed_is_a=*/true,
-                                 &pair_ubs);
-          for (size_t i = 0; i < batch_size; ++i) {
-            pruner.EvaluatePair(d1, batch[i], b1, batch_bounds[i], s1,
-                                batch_suffix[i], inner_doc, batch_docs[i],
-                                &heaps[i], cpu, pair_ubs[i]);
-          }
+          index.Score(d1, sim, cpu, [&](uint32_t i, double acc) {
+            heaps[i].Add(inner_doc,
+                         sim.Finalize(acc, inner_doc, batch_docs[i]));
+          });
         }));
     for (size_t i = 0; i < batch_size; ++i) {
       result.push_back(OuterMatches{batch_docs[i], heaps[i].TakeSorted()});
     }
   }
-  pruner.ReportTightness(stats);
   return result;
 }
 
@@ -227,13 +220,13 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         "HHNL backward: buffer cannot hold intermediate heaps plus one "
         "document of each collection");
   }
+  const SimilarityContext& sim = *ctx.similarity;
   QueryStatsCollector* stats = ctx.stats;
   CpuStats* cpu = stats != nullptr ? stats->cpu() : nullptr;
   if (stats != nullptr) {
     stats->SetRootLabel("HHNL backward");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(*ctx.similarity);
 
   // One heap per participating outer document, alive for the whole run.
   std::vector<TopKAccumulator> heaps(participating.size(),
@@ -241,6 +234,7 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
 
   const std::vector<char> inner_member = InnerMembership(ctx, spec);
   auto inner_scan = ctx.inner->Scan();
+  BatchIndex index;
   while (!inner_scan.Done()) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "HHNL inner batch"));
     // Load the next batch of (participating) inner documents.
@@ -260,20 +254,10 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
     if (batch.empty()) continue;
     if (stats != nullptr) stats->AddCounter("inner_batches", 1);
 
-    // Bound profiles of the resident batch (inner side).
-    std::vector<DocBounds> batch_bounds(batch.size());
-    std::vector<SuffixBounds> batch_suffix(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch_bounds[i] = pruner.Bounds(*ctx.inner, batch_docs[i], batch[i],
-                                      ctx.similarity->inner_norms);
-      batch_suffix[i].Build(batch[i], *ctx.similarity);
-    }
-
     // Pass over the outer documents.
     PhaseScope rescan(stats, phase::kRescanOuter);
+    index.Build(batch);
     auto outer_scan = ctx.outer->Scan();
-    SuffixBounds s2;
-    kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
     for (size_t oi = 0; oi < participating.size(); ++oi) {
       DocId outer_doc = participating[oi];
       Document d2;
@@ -283,19 +267,10 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         TEXTJOIN_CHECK_EQ(outer_scan.next_doc(), outer_doc);
         TEXTJOIN_ASSIGN_OR_RETURN(d2, outer_scan.Next());
       }
-      const DocBounds b2 = pruner.Bounds(*ctx.outer, outer_doc, d2,
-                                         ctx.similarity->outer_norms);
-      s2.Build(d2, *ctx.similarity);
-      // One kernel call bounds the outer document against the resident
-      // inner batch (the outer document is PairUpperBound's second
-      // argument here, hence fixed_is_a = false).
-      pruner.BatchPairBounds(b2, batch_bounds, /*fixed_is_a=*/false,
-                             &pair_ubs);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        pruner.EvaluatePair(batch[i], d2, batch_bounds[i], b2,
-                            batch_suffix[i], s2, batch_docs[i], outer_doc,
-                            &heaps[oi], cpu, pair_ubs[i]);
-      }
+      index.Score(d2, sim, cpu, [&](uint32_t i, double acc) {
+        heaps[oi].Add(batch_docs[i],
+                      sim.Finalize(acc, batch_docs[i], outer_doc));
+      });
     }
   }
 
@@ -304,7 +279,6 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
   for (size_t oi = 0; oi < participating.size(); ++oi) {
     result.push_back(OuterMatches{participating[oi], heaps[oi].TakeSorted()});
   }
-  pruner.ReportTightness(stats);
   return result;
 }
 

@@ -9,9 +9,13 @@ namespace textjoin {
 // collections. In forward order, batches of
 //   X = floor((B - ceil(S1)) / (S2 + 4*lambda/P))
 // outer (C2) documents are held in memory; for each batch the inner
-// collection C1 is scanned once and every inner document is compared with
+// collection C1 is scanned once and every inner document is scored against
 // every batched outer document, updating per-outer-document top-lambda
-// heaps.
+// heaps. The paper fixes only this I/O schedule. In memory, each loaded
+// batch is inverted into a transient term -> (batch position, weight)
+// table, and each scanned document scatters its contributions through it
+// into a dense per-batch accumulator, so no pair is merged on its own
+// (DESIGN.md section 8). Scores stay bit-identical to a per-pair merge.
 //
 // The backward order the paper mentions (process C1 as the outer loop;
 // cheaper when C1 is much smaller than C2) is available as an option: it

@@ -110,59 +110,27 @@ Result<SimilarityContext> SimilarityContext::Create(
 
 double WeightedDot(const Document& d1, const Document& d2,
                    const SimilarityContext& ctx) {
-  return WeightedDotDetailed(d1, d2, ctx).acc;
-}
-
-DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
-                              const SimilarityContext& ctx) {
   const auto& a = d1.cells();
   const auto& b = d2.cells();
-  DotDetail out;
   const int64_t na = static_cast<int64_t>(a.size());
   const int64_t nb = static_cast<int64_t>(b.size());
   MergeScratch& scratch = g_merge_scratch;
   scratch.Ensure(static_cast<size_t>(std::min(na, nb)));
   kernel::MergeCursor cur;
   int64_t nm = 0;
-  // The merge finds the common terms, metering one logical step per
-  // two-pointer iteration — the machine-independent count the simulated
-  // CPU model expects. The contributions are then accumulated
-  // sequentially in ascending term order.
-  out.merge_steps = kernel::MergeLinearPortable(
-      a.data(), na, b.data(), nb, &cur, std::numeric_limits<int64_t>::max(),
-      scratch.a.data(), scratch.b.data(), &nm);
+  // The merge finds the common terms; their contributions are then
+  // accumulated sequentially in ascending term order.
+  kernel::MergeLinearPortable(a.data(), na, b.data(), nb, &cur,
+                              std::numeric_limits<int64_t>::max(),
+                              scratch.a.data(), scratch.b.data(), &nm);
+  double acc = 0;
   for (int64_t k = 0; k < nm; ++k) {
     const DCell& ca = a[static_cast<size_t>(scratch.a[k])];
     const DCell& cb = b[static_cast<size_t>(scratch.b[k])];
-    out.acc += static_cast<double>(ca.weight) *
-               static_cast<double>(cb.weight) * ctx.TermFactor(ca.term);
+    acc += static_cast<double>(ca.weight) * static_cast<double>(cb.weight) *
+           ctx.TermFactor(ca.term);
   }
-  out.common_terms = nm;
-  return out;
-}
-
-size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
-                        int64_t* steps) {
-  const size_t n = cells.size();
-  if (lo >= n || cells[lo].term >= t) return lo;
-  size_t span = 1;
-  while (lo + span < n && cells[lo + span].term < t) {
-    ++*steps;
-    span *= 2;
-  }
-  size_t left = lo + span / 2 + 1;  // cells[lo + span/2].term < t
-  size_t right = std::min(lo + span, n - 1);
-  // Invariant: answer in [left, right+1).
-  while (left <= right) {
-    ++*steps;
-    size_t mid = left + (right - left) / 2;
-    if (cells[mid].term < t) {
-      left = mid + 1;
-    } else {
-      right = mid - 1;
-    }
-  }
-  return left;
+  return acc;
 }
 
 }  // namespace textjoin

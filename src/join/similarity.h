@@ -1,7 +1,6 @@
 #ifndef TEXTJOIN_JOIN_SIMILARITY_H_
 #define TEXTJOIN_JOIN_SIMILARITY_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -121,38 +120,6 @@ struct SimilarityContext {
 // Cosine normalization is NOT applied here — call ctx.Finalize.
 double WeightedDot(const Document& d1, const Document& d2,
                    const SimilarityContext& ctx);
-
-// WeightedDot plus the CPU-work detail the counted executors report: how
-// many merge steps the walk took and how many terms the documents share.
-struct DotDetail {
-  double acc = 0;
-  int64_t merge_steps = 0;
-  int64_t common_terms = 0;
-};
-DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
-                              const SimilarityContext& ctx);
-
-// Length ratio at which HHNL's merge (WeightedDotPruned) switches from the
-// paper's two-pointer walk, O(|d1| + |d2|), to galloping — exponential +
-// binary search from the shorter document, O(short * log(long)). At 16x
-// the expected probe count short*(2*log2(ratio)+2) drops below the linear
-// walk's short+long steps.
-inline constexpr int64_t kGallopSizeRatio = 16;
-
-// The one length rule every merge applies: gallop when the longer cell
-// list is at least kGallopSizeRatio times the (nonempty) shorter one.
-inline bool UseGalloping(size_t n1, size_t n2) {
-  const size_t shorter = std::min(n1, n2);
-  return shorter > 0 &&
-         std::max(n1, n2) >= shorter * static_cast<size_t>(kGallopSizeRatio);
-}
-
-// Building block of the galloping arm of the threshold-aware merge in
-// join/pruning.h: first index >= lo whose term is >= t, found by
-// exponential probing then binary search. Every probe is metered as one
-// merge step into *steps.
-size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
-                        int64_t* steps);
 
 }  // namespace textjoin
 

@@ -17,10 +17,9 @@ namespace kernel {
 //
 // Floating-point bit-identity argument (DESIGN.md section 13): the SIMD
 // variants vectorize only work whose fp result is order-free — individual
-// products (each computed by the same sequence of IEEE-exact operations
-// per element) and min/max lattices — while every ORDER-SENSITIVE
-// reduction (score accumulation) stays a sequential in-order sum in both
-// arms. In-order reduction was chosen over pairwise deliberately: the
+// products, each computed by the same sequence of IEEE-exact operations
+// per element — while every ORDER-SENSITIVE reduction (score
+// accumulation) stays a sequential in-order sum in both arms. In-order reduction was chosen over pairwise deliberately: the
 // executors' accumulator loops scatter into per-candidate slots in
 // ascending term order, an order pairwise reduction cannot reproduce, and
 // cross-executor bit-identity (HHNL == HVNL == VVM) has been a tested
@@ -46,21 +45,6 @@ struct KernelTable {
   // evaluated per lane, so the later in-order adds are bit-identical.
   void (*scale_cells)(const ICell* cells, int64_t n, double w2, double factor,
                       double* out);
-
-  // Batched HHNL pair bound (join/pruning.h PairUpperBound) of one fixed
-  // document against a contiguous DocBounds-layout array `cands` of n
-  // candidates (max_w, sum_w, norm_w, inv_norm as 4 consecutive doubles
-  // each, all nonnegative and finite):
-  //   m3     = min(min(fixed.max*c.sum, fixed.sum*c.max), fixed.norm*c.norm)
-  //   out[k] = fixed_is_a ? (m3 * fixed.inv) * c.inv
-  //                       : (m3 * c.inv) * fixed.inv
-  // `fixed_is_a` says which argument position the fixed document holds in
-  // PairUpperBound — the trailing inv-norm multiplies associate left, so
-  // the order matters for bit-identity. min/mul are IEEE-exact on this
-  // domain, so every variant is bit-identical.
-  void (*pair_bounds)(const double* cands, int64_t n, double fixed_max,
-                      double fixed_sum, double fixed_norm, double fixed_inv,
-                      bool fixed_is_a, double* out);
 };
 
 // The per-level tables (defined in kernels_<level>.cc; the AVX2 one only
@@ -86,9 +70,7 @@ struct MergeCursor {
 // and match extraction the walk is branch-predictable and load-light,
 // and measured register-compare run skipping (4- and 8-lane leading-less
 // probes, even momentum-gated to fire only on detected runs) lost to it
-// on every workload shape — interleaved and run-heavy alike. Skew is the
-// galloping kernel's job (join/similarity.h), an algorithmic answer a
-// wider register cannot beat.
+// on every workload shape — interleaved and run-heavy alike.
 int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
                             int64_t nb, MergeCursor* cur, int64_t max_steps,
                             int32_t* match_a, int32_t* match_b,

@@ -110,22 +110,6 @@ inline void ScaleCellsScalarImpl(const ICell* cells, int64_t n, double w2,
   }
 }
 
-// Candidate layout: 4 doubles per entry — max_w, sum_w, norm_w, inv_norm
-// (join/pruning.h DocBounds; the call site static_asserts the layout).
-inline void PairBoundsScalarImpl(const double* cands, int64_t n,
-                                 double fixed_max, double fixed_sum,
-                                 double fixed_norm, double fixed_inv,
-                                 bool fixed_is_a, double* out) {
-  for (int64_t k = 0; k < n; ++k) {
-    const double* c = cands + 4 * k;
-    const double h1 = fixed_max * c[1];
-    const double h2 = fixed_sum * c[0];
-    const double cs = fixed_norm * c[2];
-    const double m3 = std::min(std::min(h1, h2), cs);
-    out[k] = fixed_is_a ? (m3 * fixed_inv) * c[3] : (m3 * c[3]) * fixed_inv;
-  }
-}
-
 }  // namespace internal
 }  // namespace kernel
 }  // namespace textjoin

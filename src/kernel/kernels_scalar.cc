@@ -38,8 +38,7 @@ int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
 }
 
 const KernelTable kScalarTable = {"scalar", internal::GvDecodeScalarImpl,
-                                  internal::ScaleCellsScalarImpl,
-                                  internal::PairBoundsScalarImpl};
+                                  internal::ScaleCellsScalarImpl};
 
 }  // namespace kernel
 }  // namespace textjoin

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cost/cpu_model.h"
 #include "kernel/dispatch.h"
 #include "obs/calibrate.h"
 
@@ -284,29 +283,6 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
                   DecodeNsPerCell(cal, format), FormatName(format),
                   kernel::Active().name,
                   CalibratedCpuNs(stats.root.cpu, format) * 1e-6);
-    out += buf;
-  }
-  if (stats.root.cpu.any_pruning()) {
-    const CpuStats& c = stats.root.cpu;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "pruning: bound_checks=%lld pairs_pruned=%lld "
-                  "early_exits=%lld\n",
-                  static_cast<long long>(c.bound_checks),
-                  static_cast<long long>(c.pairs_pruned),
-                  static_cast<long long>(c.early_exits));
-    out += buf;
-  }
-  // Only HHNL prunes, so only its CPU estimate depends on the rate.
-  if (plan.algorithm == Algorithm::kHhnl && plan.inputs.pruning_rate > 0) {
-    const CpuEstimate est = HhnlCpuCost(plan.inputs);
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "predicted cpu: total=%.0f  measured=%.0f  err vs pred:%s  "
-                  "(pruning rate %.0f%%, pairs_pruned~%.0f)\n",
-                  est.Total(), stats.root.cpu.Total(),
-                  RelError(stats.root.cpu.Total(), est.Total()).c_str(),
-                  plan.inputs.pruning_rate * 100.0, est.pairs_pruned);
     out += buf;
   }
   if (stats.has_buffer_pool()) {

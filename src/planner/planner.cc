@@ -3,7 +3,6 @@
 #include <limits>
 #include <sstream>
 
-#include "cost/cpu_model.h"
 #include "cost/statistics.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
@@ -40,9 +39,6 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;
   }
-  // HHNL's predicted CPU cost discounts the work its top-lambda bounds are
-  // expected to skip.
-  in.pruning_rate = ExpectedPruningRate(in);
 
   PlanChoice choice;
   choice.inputs = in;

@@ -45,62 +45,78 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 }
 
 // The key structural property: all three algorithms perform EXACTLY the
-// same number of similarity accumulations — one per (pair, common term).
-// HVNL and VVM accumulate every candidate at any lambda; HHNL's bounds can
-// only skip work once a heap is full, so it runs with lambda >= N1.
+// same number of similarity accumulations — one per (pair, common term),
+// i.e. sum over shared terms of df1 * df2 — at any lambda, since none of
+// them prunes. HHNL is checked in both orders and with several outer
+// batches.
 TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 50, 6, 60, 71),
                        RandomCollection(&disk, "c2", 35, 5, 60, 72));
   JoinSpec spec;
   spec.lambda = 4;
-  JoinSpec full = spec;
-  full.lambda = f->inner.num_documents();
 
   int64_t expected = 0;  // sum over shared terms of df1 * df2
   for (const auto& [term, df2] : f->outer.doc_freq_map()) {
     expected += f->inner.DocumentFrequency(term) * df2;
   }
 
-  for (int pass = 0; pass < 3; ++pass) {
-    QueryStatsCollector collector(&disk);
-    JoinContext ctx = f->Context(100);
-    ctx.stats = &collector;
-    Result<JoinResult> r(Status::OK());
-    if (pass == 0) {
-      HhnlJoin join;
-      r = join.Run(ctx, full);
-    } else if (pass == 1) {
-      HvnlJoin join;
-      r = join.Run(ctx, spec);
-    } else {
-      VvmJoin join;
-      r = join.Run(ctx, spec);
+  const HhnlJoin hhnl;
+  const HhnlJoin hhnl_backward(HhnlJoin::Options{/*backward=*/true});
+  const HvnlJoin hvnl;
+  const VvmJoin vvm;
+  const TextJoinAlgorithm* algos[] = {&hhnl, &hhnl_backward, &hvnl, &vvm};
+  for (int pass = 0; pass < 4; ++pass) {
+    for (const int64_t buffer : {int64_t{8}, int64_t{100}}) {
+      if (pass == 3 && buffer == 8) continue;  // VVM's matrix needs room
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(buffer);
+      ctx.stats = &collector;
+      ASSERT_TRUE(algos[pass]->Run(ctx, spec).ok())
+          << "pass " << pass << " B=" << buffer;
+      const CpuStats cpu = collector.Finish().root.cpu;
+      EXPECT_EQ(cpu.accumulations, expected)
+          << "pass " << pass << " B=" << buffer;
     }
-    ASSERT_TRUE(r.ok());
-    const CpuStats cpu = collector.Finish().root.cpu;
-    EXPECT_EQ(cpu.accumulations, expected) << "pass " << pass;
   }
 }
 
-TEST(CpuCountingTest, HhnlComparesBoundedByCellSums) {
+// HHNL probes every cell of every scanned document once per resident
+// batch: compares = batches * scanned cells, exactly, in both orders.
+TEST(CpuCountingTest, HhnlComparesAreBatchesTimesScannedCells) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 6, 50, 73),
                        RandomCollection(&disk, "c2", 20, 5, 50, 74));
   JoinSpec spec;
-  // The bound needs full merges: with lambda >= N1 no heap fills, so
-  // HHNL's pruning never skips a pair or cuts a merge short.
-  spec.lambda = f->inner.num_documents();
-  QueryStatsCollector collector(&disk);
-  JoinContext ctx = f->Context(100);
-  ctx.stats = &collector;
-  HhnlJoin join;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
-  const CpuStats cpu = collector.Finish().root.cpu;
-  // Each pair walks at most K1 + K2 cells and at least max(K1, K2).
-  int64_t pairs = f->inner.num_documents() * f->outer.num_documents();
-  EXPECT_LE(cpu.cell_compares, pairs * (6 + 5));
-  EXPECT_GE(cpu.cell_compares, pairs * 6);
+  spec.lambda = 3;
+  for (const int64_t buffer : {int64_t{4}, int64_t{100}}) {
+    {
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(buffer);
+      ctx.stats = &collector;
+      ASSERT_TRUE(HhnlJoin().Run(ctx, spec).ok());
+      const QueryStats stats = collector.Finish();
+      const int64_t batches = stats.root.Counter("outer_batches");
+      const int64_t X = HhnlJoin::BatchSize(ctx, spec);
+      EXPECT_EQ(batches, (f->outer.num_documents() + X - 1) / X);
+      EXPECT_EQ(stats.root.cpu.cell_compares,
+                batches * f->inner.total_cells())
+          << "forward B=" << buffer;
+    }
+    {
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(buffer);
+      ctx.stats = &collector;
+      ASSERT_TRUE(
+          HhnlJoin(HhnlJoin::Options{/*backward=*/true}).Run(ctx, spec).ok());
+      const QueryStats stats = collector.Finish();
+      const int64_t batches = stats.root.Counter("inner_batches");
+      EXPECT_GE(batches, 1);
+      EXPECT_EQ(stats.root.cpu.cell_compares,
+                batches * f->outer.total_cells())
+          << "backward B=" << buffer;
+    }
+  }
 }
 
 TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
@@ -139,7 +155,6 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 80, 8, 120, 79),
                        RandomCollection(&disk, "c2", 60, 6, 120, 80));
   JoinSpec spec;
-  // Unpruned estimates below: with lambda >= N1 HHNL prunes nothing.
   spec.lambda = f->inner.num_documents();
   CostInputs in = InputsFor(*f, 100, spec);
 
@@ -164,6 +179,17 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
           "HHNL compares");
     check(static_cast<double>(cpu.accumulations), est.accumulations, 2.0,
           "HHNL accumulations");
+  }
+  {
+    QueryStatsCollector collector(&disk);
+    JoinContext ctx = f->Context(100);
+    ctx.stats = &collector;
+    HhnlJoin join(HhnlJoin::Options{/*backward=*/true});
+    ASSERT_TRUE(join.Run(ctx, spec).ok());
+    const CpuStats cpu = collector.Finish().root.cpu;
+    CpuEstimate est = HhnlCpuCost(in, /*backward=*/true);
+    check(static_cast<double>(cpu.cell_compares), est.cell_compares, 1.5,
+          "HHNL backward compares");
   }
   {
     QueryStatsCollector collector(&disk);
@@ -199,51 +225,6 @@ TEST(CpuModelTest, CombinedCostAddsWeightedCpu) {
   io.feasible = false;
   io.seq = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(std::isinf(CombinedCost(io, cpu, 100.0)));
-}
-
-TEST(CpuModelTest, ExpectedPruningRateProperties) {
-  CostInputs in;
-  in.c1 = {1000, 50, 5000};
-  in.c2 = {800, 40, 4000};
-  in.query = {20, 0.1};
-  const double rate = ExpectedPruningRate(in);
-  EXPECT_GT(rate, 0.0);
-  EXPECT_LE(rate, 0.9);
-  // More kept matches -> less prunable work.
-  in.query.lambda = 80;
-  EXPECT_LT(ExpectedPruningRate(in), rate);
-  // lambda >= all candidates -> nothing to prune.
-  in.query.lambda = 1000;
-  in.query.delta = 1.0;
-  EXPECT_DOUBLE_EQ(ExpectedPruningRate(in), 0.0);
-}
-
-TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
-  CostInputs in;
-  in.c1 = {1000, 50, 5000};
-  in.c2 = {800, 40, 4000};
-  in.sys = {10000, 4096, 5.0};
-  in.query = {20, 0.1};
-  in.q = 0.8;
-  const CpuEstimate base = HhnlCpuCost(in);
-  in.pruning_rate = ExpectedPruningRate(in);
-  const CpuEstimate pruned = HhnlCpuCost(in);
-  EXPECT_LT(pruned.cell_compares, base.cell_compares);
-  EXPECT_LT(pruned.accumulations, base.accumulations);
-  EXPECT_GT(pruned.bound_checks, 0.0);
-  EXPECT_GT(pruned.pairs_pruned, 0.0);
-  // The discount must beat the bound-check surcharge for the rate to be
-  // worth modeling at all.
-  EXPECT_LT(pruned.Total(), base.Total());
-
-  // HVNL and VVM accumulate every candidate: the rate must not move them.
-  const CpuEstimate hv_rated = HvnlCpuCost(in);
-  const CpuEstimate vv_rated = VvmCpuCost(in);
-  in.pruning_rate = 0;
-  EXPECT_DOUBLE_EQ(hv_rated.Total(), HvnlCpuCost(in).Total());
-  EXPECT_DOUBLE_EQ(vv_rated.Total(), VvmCpuCost(in).Total());
-  EXPECT_DOUBLE_EQ(hv_rated.bound_checks, 0.0);
-  EXPECT_DOUBLE_EQ(vv_rated.bound_checks, 0.0);
 }
 
 TEST(CpuModelTest, AccumulationEstimateConsistentAcrossAlgorithms) {

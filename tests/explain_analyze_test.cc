@@ -10,7 +10,6 @@
 #include <string>
 
 #include "storage/disk_manager.h"
-#include "cost/cpu_model.h"
 #include "cost/statistics.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
@@ -47,9 +46,6 @@ CostInputs InputsFor(const JoinFixture& f, const JoinContext& ctx,
   in.query.lambda = spec.lambda;
   in.query.delta = spec.delta;
   in.q = MeasuredTermOverlap(f.outer, f.inner);
-  // Mirror JoinPlanner::Plan, which always sets HHNL's expected pruning
-  // rate (the predicted-CPU line renders for HHNL when it is positive).
-  in.pruning_rate = ExpectedPruningRate(in);
   return in;
 }
 
@@ -97,10 +93,9 @@ phase                   pred.seq  pred.rand   measured   err.seq
   read outer                1.56       1.56       6.00   +284.0%
   scan inner                2.93       6.93       7.00   +138.9%
   (query)
-      counters: batch_size_X=88 outer_batches=1 bound_tightness_pct=30
+      counters: batch_size_X=88 outer_batches=1
 
-cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0
+cpu: CpuStats{compares=150, accum=642, heap=464, decoded=0}
 )",
       Render(hhnl));
 }
@@ -118,10 +113,9 @@ phase                   pred.seq  pred.rand   measured   err.seq
   read inner batch          2.93      14.65       7.00   +138.9%
   rescan outer              1.56       7.81       6.00   +284.0%
   (query)
-      counters: batch_size_X=103 inner_batches=1 bound_tightness_pct=30
+      counters: batch_size_X=103 inner_batches=1
 
-cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0
+cpu: CpuStats{compares=80, accum=642, heap=464, decoded=0}
 )",
       Render(hhnl, /*hhnl_backward=*/true));
 }
@@ -166,40 +160,6 @@ cpu: CpuStats{compares=711, accum=642, heap=464, decoded=230}
       Render(vvm));
 }
 
-// The golden fixture's expected pruning rate is exactly zero (delta*N1 ==
-// lambda), so the predicted-CPU line is absent from the goldens above. With a
-// smaller lambda the rate is positive and the line must appear.
-TEST(ExplainAnalyzeTest, PredictedCpuLineAppearsWhenPruningRatePositive) {
-  HhnlJoin hhnl;
-  SimulatedDisk disk(256);
-  auto f = GoldenFixture(&disk);
-  JoinContext ctx = f->Context(kBufferPages);
-  JoinSpec spec;
-  spec.lambda = 1;
-
-  QueryStatsCollector collector(&disk);
-  ctx.stats = &collector;
-  auto result = hhnl.Run(ctx, spec);
-  TEXTJOIN_CHECK_OK(result.status());
-  QueryStats stats = collector.Finish();
-
-  CostInputs in = InputsFor(*f, ctx, spec);
-  ASSERT_GT(in.pruning_rate, 0.0);
-  ExplainPlan plan;
-  plan.algorithm = hhnl.kind();
-  plan.costs = CompareCosts(in);
-  plan.hhnl_backward_cost = HhnlBackwardCost(in);
-  plan.inputs = in;
-
-  ExplainOptions options;
-  options.include_wall_time = false;
-  std::string report = RenderExplainAnalyze(plan, stats, options);
-  EXPECT_NE(report.find("predicted cpu:"), std::string::npos) << report;
-  EXPECT_NE(report.find("pruning: bound_checks="), std::string::npos) << report;
-}
-
-// ExecuteAnalyze ties it together: the planner's own report must carry the
-// chosen algorithm, and the join result must be unaffected by metering.
 TEST(ExplainAnalyzeTest, ExecuteAnalyzeMatchesPlainExecute) {
   SimulatedDisk disk(256);
   auto f = GoldenFixture(&disk);

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "exec/governor.h"
 #include "storage/disk_manager.h"
 #include "join/hhnl.h"
 #include "test_util.h"
@@ -8,6 +15,7 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
+using testing_util::BuildCollection;
 using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
@@ -199,6 +207,163 @@ TEST(HhnlTest, LambdaLargerThanCollection) {
   auto got = join.Run(f->Context(200), spec);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
+}
+
+// Random documents of `min_terms`..`max_terms` distinct Zipf-ish terms
+// from [0, 200), weights in [1, 4].
+std::vector<std::vector<DCell>> RandomDocs(int64_t n, int64_t min_terms,
+                                           int64_t max_terms, uint64_t seed) {
+  Rng rng(seed);
+  ZipfSampler zipf(200, 0.8);
+  std::vector<std::vector<DCell>> docs;
+  for (int64_t d = 0; d < n; ++d) {
+    const int64_t k = min_terms + static_cast<int64_t>(rng.NextBounded(
+                                      static_cast<uint64_t>(max_terms -
+                                                            min_terms + 1)));
+    std::set<TermId> terms;
+    while (static_cast<int64_t>(terms.size()) < k) {
+      terms.insert(static_cast<TermId>(zipf.Sample(&rng)));
+    }
+    std::vector<DCell> cells;
+    for (TermId t : terms) {
+      cells.push_back(DCell{t, static_cast<Weight>(1 + rng.NextBounded(4))});
+    }
+    docs.push_back(std::move(cells));
+  }
+  return docs;
+}
+
+struct BatchRun {
+  int64_t X = 0;
+  int64_t batches = 0;
+};
+
+// Runs one HHNL order with a stats collector; returns the batch size and
+// batch count it reported, or nullopt when the buffer is infeasible.
+std::optional<BatchRun> RunAndCompare(const HhnlJoin& join,
+                                      const JoinContext& base,
+                                      const JoinSpec& spec,
+                                      const JoinResult& expected,
+                                      const std::string& what) {
+  QueryStatsCollector collector(base.inner->disk());
+  JoinContext ctx = base;
+  ctx.stats = &collector;
+  auto got = join.Run(ctx, spec);
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted) << what;
+    return std::nullopt;
+  }
+  EXPECT_EQ(*got, expected) << what;
+  const QueryStats stats = collector.Finish();
+  return BatchRun{stats.root.Counter("batch_size_X"),
+                  stats.root.Counter("outer_batches") +
+                      stats.root.Counter("inner_batches")};
+}
+
+// The batch-inverted scoring path against the per-pair brute force, bit
+// for bit, at every batch boundary the buffer can produce: both orders,
+// the four weightings, buffers from infeasible through X = 1, X = 2 and
+// short last batches to one batch, selective subsets on either side and a
+// governor budget that shrinks X. The crafted documents put the largest
+// term of a scanned document above every term of the resident batch
+// (inner term 9000 against outer batches without document 21, outer term
+// 9500 against every inner batch), give terms 700 and 800 a single batch
+// on the outer and inner side, and leave one document per side empty.
+TEST(HhnlTest, BatchBoundariesBitIdenticalToBruteForce) {
+  std::vector<std::vector<DCell>> inner_docs = RandomDocs(30, 12, 20, 707);
+  inner_docs.push_back({});
+  inner_docs.push_back({{3, 2}, {17, 1}, {700, 2}, {9000, 4}});
+  inner_docs.push_back({{1, 1}, {700, 3}, {800, 2}});
+  std::vector<std::vector<DCell>> outer_docs = RandomDocs(20, 10, 16, 808);
+  outer_docs.push_back({});
+  outer_docs.push_back({{1, 2}, {3, 1}, {9500, 2}});
+  outer_docs.push_back({{17, 1}, {700, 1}, {800, 4}});
+  const int64_t n1 = static_cast<int64_t>(inner_docs.size());
+  const int64_t n2 = static_cast<int64_t>(outer_docs.size());
+
+  struct Variant {
+    const char* name;
+    bool cosine;
+    bool idf;
+  };
+  const Variant variants[] = {{"raw", false, false},
+                              {"idf", false, true},
+                              {"cosine", true, false},
+                              {"cosine+idf", true, true}};
+  for (const Variant& v : variants) {
+    SimulatedDisk disk(64);
+    SimilarityConfig config;
+    config.cosine_normalize = v.cosine;
+    config.use_idf = v.idf;
+    auto f = MakeFixture(&disk, BuildCollection(&disk, "c1", inner_docs),
+                         BuildCollection(&disk, "c2", outer_docs), config);
+
+    std::vector<JoinSpec> specs(4);
+    specs[1].outer_subset = {0, 3, 4, 9, 20, 22};
+    specs[2].inner_subset = {1, 2, 5, 11, 30, 31, 32};
+    specs[3].outer_subset = {2, 21, 22};
+    specs[3].inner_subset = {0, 31, 32};
+    for (JoinSpec& spec : specs) {
+      spec.lambda = 3;
+      spec.similarity = config;
+    }
+
+    for (const bool backward : {false, true}) {
+      const HhnlJoin join(HhnlJoin::Options{backward});
+      const char* order = backward ? "backward" : "forward";
+      std::set<int64_t> sizes_seen;
+      bool short_last_batch = false;
+      for (size_t si = 0; si < specs.size(); ++si) {
+        const JoinSpec& spec = specs[si];
+        const JoinResult expected =
+            BruteForceJoin(f->inner, f->outer, f->simctx, spec);
+        // Documents the batches are drawn from: outer documents forward,
+        // inner documents backward.
+        const int64_t batched =
+            backward ? (spec.inner_subset.empty()
+                            ? n1
+                            : static_cast<int64_t>(spec.inner_subset.size()))
+                     : (spec.outer_subset.empty()
+                            ? n2
+                            : static_cast<int64_t>(spec.outer_subset.size()));
+        for (int64_t B = 1; B <= 48; ++B) {
+          const std::string what = std::string(v.name) + " " + order +
+                                   " spec " + std::to_string(si) + " B=" +
+                                   std::to_string(B);
+          const auto run =
+              RunAndCompare(join, f->Context(B), spec, expected, what);
+          if (!run) continue;
+          ASSERT_GE(run->X, 1) << what;
+          sizes_seen.insert(run->X);
+          if (run->batches > 1 && run->batches * run->X > batched) {
+            short_last_batch = true;
+          }
+        }
+
+        // The tightest governor memory budget the join still runs under
+        // caps a roomy buffer: a smaller X, more batches, the same result.
+        const JoinContext roomy = f->Context(200);
+        const std::string what = std::string(v.name) + " " + order +
+                                 " spec " + std::to_string(si);
+        const auto full = RunAndCompare(join, roomy, spec, expected, what);
+        ASSERT_TRUE(full.has_value()) << what;
+        std::optional<BatchRun> shrunk;
+        for (int64_t budget = 1; !shrunk && budget < 200; ++budget) {
+          QueryGovernor governor(GovernorLimits{0, budget});
+          JoinContext capped = roomy;
+          capped.governor = &governor;
+          shrunk = RunAndCompare(join, capped, spec, expected,
+                                 what + " budget " + std::to_string(budget));
+        }
+        ASSERT_TRUE(shrunk.has_value()) << what;
+        EXPECT_LT(shrunk->X, full->X) << what;
+        EXPECT_GT(shrunk->batches, full->batches) << what;
+      }
+      EXPECT_TRUE(sizes_seen.count(1)) << v.name << " " << order;
+      EXPECT_TRUE(sizes_seen.count(2)) << v.name << " " << order;
+      EXPECT_TRUE(short_last_batch) << v.name << " " << order;
+    }
+  }
 }
 
 }  // namespace
