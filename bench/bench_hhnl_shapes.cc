@@ -10,11 +10,12 @@
 //
 //   bench_hhnl_shapes [--smoke]
 //
-// --smoke: a tenth of the documents and one run per row, for CI.
+// --smoke: a tenth of the documents and one run per row.
 //
-// HHNL runs with a buffer sized for three outer batches, so the rows
-// exercise batch boundaries; HVNL runs with a buffer that holds its whole
-// entry cache. Times are machine-dependent; nothing here is a golden.
+// HHNL runs with a buffer sized for the shape's outer batch count, so the
+// rows exercise batch boundaries; HVNL runs with a buffer that holds its
+// whole entry cache. Times are machine-dependent; nothing here is a
+// golden.
 
 #include <algorithm>
 #include <chrono>
@@ -41,16 +42,21 @@ struct Shape {
   int64_t n1, n2;          // inner and outer documents
   double k1, k2;           // distinct terms per document
   int64_t vocabulary;
+  int64_t batches;         // outer batches HHNL's buffer is sized for
 };
 
 // WSJ-, FR- and DOE-like shapes (sim/trec_profiles.h terms per document
 // and vocabularies, fewer documents) plus long inner documents against
-// short outer ones.
+// short outer ones, all in three batches. "sparse" is a tight buffer
+// (X = 2) over a million-term vocabulary: hundreds of small batches whose
+// term ids run high, where per-batch work must stay proportional to the
+// batch's cells rather than to its largest term id.
 constexpr Shape kShapes[] = {
-    {"dense", 600, 600, 82, 82, 20000},
-    {"long", 300, 300, 254, 254, 40000},
-    {"short", 1200, 1200, 22, 22, 20000},
-    {"skewed", 600, 600, 200, 12, 10000},
+    {"dense", 600, 600, 82, 82, 20000, 3},
+    {"long", 300, 300, 254, 254, 40000, 3},
+    {"short", 1200, 1200, 22, 22, 20000, 3},
+    {"skewed", 600, 600, 200, 12, 10000, 3},
+    {"sparse", 300, 300, 254, 254, 1 << 20, 150},
 };
 
 struct Weighting {
@@ -155,14 +161,17 @@ int Main(bool smoke) {
         ctx.sys.page_size = kPageSize;
         ctx.sys.alpha = 5.0;
 
-        // HHNL: B = ceil(S1) + ceil(N2/3) * (S2 + 4*lambda/P), so
-        // X >= N2/3 and the outer collection goes in three batches.
+        // HHNL: B = ceil(S1) + ceil(N2/batches) * (S2 + 4*lambda/P), so
+        // X >= N2/batches and the outer collection goes in at most
+        // `batches` batches.
         const double per_doc = c2->avg_doc_size_pages() +
                                4.0 * static_cast<double>(lambda) / kPageSize;
         const double n2 = static_cast<double>(c2->num_documents());
+        const double per_batch =
+            std::ceil(n2 / static_cast<double>(shape.batches));
         ctx.sys.buffer_pages = static_cast<int64_t>(
             std::ceil(std::ceil(c1->avg_doc_size_pages()) +
-                      std::ceil(n2 / 3.0) * per_doc));
+                      per_batch * per_doc));
         const int64_t X = HhnlJoin::BatchSize(ctx, spec);
         const int64_t batches = (c2->num_documents() + X - 1) / X;
         const Timed hhnl = TimeRuns(HhnlJoin(), ctx, spec, runs);

@@ -42,17 +42,12 @@ CpuDerived Derive(const CostInputs& in) {
 
 }  // namespace
 
-CpuEstimate HhnlCpuCost(const CostInputs& in, bool backward) {
+CpuEstimate HhnlCpuCost(const CostInputs& in) {
   CpuDerived d = Derive(in);
   CpuEstimate e;
   // Each scanned document's cells are probed once per resident batch.
-  if (backward) {
-    const double X = std::max(1.0, HhnlBackwardBatchSize(in));
-    e.cell_compares = std::ceil(d.N1 / X) * d.m * d.K2;
-  } else {
-    const double X = std::max(1.0, HhnlBatchSize(in));
-    e.cell_compares = std::ceil(d.m / X) * d.N1 * d.K1;
-  }
+  const double X = std::max(1.0, HhnlBatchSize(in));
+  e.cell_compares = std::ceil(d.m / X) * d.N1 * d.K1;
   e.accumulations = d.m * d.N1 * d.common;
   // Only non-zero pairs reach the heap.
   e.heap_offers = d.m * d.N1 * d.delta;

@@ -31,11 +31,10 @@ struct CpuEstimate {
   }
 };
 
-// HHNL probes every cell of every scanned document once per resident
-// batch: ceil(m/X) * N1 * K1 compares in the forward order (X from
-// HhnlBatchSize), ceil(N1/X') * m * K2 in the backward order (X' from
-// HhnlBackwardBatchSize).
-CpuEstimate HhnlCpuCost(const CostInputs& in, bool backward = false);
+// HHNL (forward order) probes every cell of every scanned inner document
+// once per resident outer batch: ceil(m/X) * N1 * K1 compares, X from
+// HhnlBatchSize.
+CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);
 

@@ -13,12 +13,16 @@ namespace textjoin {
 namespace {
 
 // Transient inverted index of HHNL's resident batch (DESIGN.md section 8).
-// Build inverts the batch's cells into CSR runs: term t's run is
-// postings_[start_[t], start_[t + 1]), one (batch position, weight) per
-// batch document holding t, over a dense start table up to the batch's
-// largest term. Score walks one scanned document's ascending cells, looks
-// each term up once, and scatters every contribution into a dense
-// per-batch accumulator. The arrays are reused across batches.
+// Build inverts the batch's cells into CSR runs, one per distinct batch
+// term: term t's run is postings_[start_[s], start_[s + 1]) with
+// s = slot_[t], one (batch position, weight) per batch document holding t.
+// slot_ is indexed by term id and lives as long as the index; it only
+// grows (to the largest term any batch held), and each Build resets the
+// previous batch's slots and sets its own, so a batch costs O(its cells)
+// however large the vocabulary. Score walks one scanned document's
+// ascending cells, looks each term up once, and scatters every
+// contribution into a dense per-batch accumulator. The arrays are reused
+// across batches.
 //
 // Each pair still adds the contributions (w_inner * w_outer) * factor of
 // its common terms in ascending term order onto 0.0 — exactly the sum a
@@ -26,6 +30,8 @@ namespace {
 class BatchIndex {
  public:
   void Build(const std::vector<Document>& batch) {
+    for (const TermId t : terms_) slot_[t] = kNoSlot;
+    terms_.clear();
     TermId max_term = 0;
     size_t num_cells = 0;
     for (const Document& d : batch) {
@@ -33,22 +39,35 @@ class BatchIndex {
       max_term = std::max(max_term, d.cells().back().term);
       num_cells += d.cells().size();
     }
-    // Run bounds and batch positions are 32-bit.
-    TEXTJOIN_CHECK_LE(std::max(num_cells, batch.size()),
+    // Run bounds, slots and batch positions are 32-bit, and no slot can
+    // reach kNoSlot.
+    TEXTJOIN_CHECK_LT(std::max(num_cells, batch.size()),
                       size_t{std::numeric_limits<uint32_t>::max()});
-    // Count each term into start_[t], prefix-sum to run ends, then fill
-    // back to front so start_[t] ends at the run's begin and every run
-    // lists batch positions in ascending order.
-    start_.assign(static_cast<size_t>(max_term) + 2, 0);
+    end_term_ = num_cells > 0 ? max_term + 1 : 0;
+    if (slot_.size() < end_term_) slot_.resize(end_term_, kNoSlot);
+    // Give each distinct term a slot on first sight and count its cells
+    // into start_[slot], prefix-sum to run ends, then fill back to front
+    // so start_[slot] ends at the run's begin and every run lists batch
+    // positions in ascending order.
+    start_.clear();
     for (const Document& d : batch) {
-      for (const DCell& c : d.cells()) ++start_[c.term];
+      for (const DCell& c : d.cells()) {
+        uint32_t& s = slot_[c.term];
+        if (s == kNoSlot) {
+          s = static_cast<uint32_t>(terms_.size());
+          terms_.push_back(c.term);
+          start_.push_back(0);
+        }
+        ++start_[s];
+      }
     }
-    for (size_t t = 1; t < start_.size(); ++t) start_[t] += start_[t - 1];
+    start_.push_back(0);
+    for (size_t s = 1; s < start_.size(); ++s) start_[s] += start_[s - 1];
     postings_.resize(num_cells);
     for (size_t i = batch.size(); i-- > 0;) {
       for (const DCell& c : batch[i].cells()) {
-        postings_[--start_[c.term]] = Posting{static_cast<uint32_t>(i),
-                                              c.weight};
+        postings_[--start_[slot_[c.term]]] =
+            Posting{static_cast<uint32_t>(i), c.weight};
       }
     }
     acc_.assign(batch.size(), 0.0);
@@ -62,21 +81,21 @@ class BatchIndex {
   template <typename Offer>
   void Score(const Document& doc, const SimilarityContext& sim, CpuStats* cpu,
              Offer&& offer) {
-    const size_t table_end = start_.size() - 1;  // terms below are indexed
     int64_t adds = 0;
     for (const DCell& c : doc.cells()) {
       // Cells ascend, so nothing past the batch's largest term can match.
-      if (c.term >= table_end) break;
-      const uint32_t begin = start_[c.term];
-      const uint32_t end = start_[c.term + 1];
-      if (begin == end) continue;
+      if (c.term >= end_term_) break;
+      const uint32_t s = slot_[c.term];
+      if (s == kNoSlot) continue;
+      const uint32_t begin = start_[s];
+      const uint32_t end = start_[s + 1];
       const double w = static_cast<double>(c.weight);
       const double factor = sim.TermFactor(c.term);
       for (uint32_t k = begin; k < end; ++k) {
         const Posting p = postings_[k];
-        // A slot still at 0.0 is untouched by this document. (Were an add
-        // ever 0.0 the slot could be listed twice; the reset below turns
-        // the second visit into a no-op.)
+        // An entry still at 0.0 is untouched by this document. (Were an
+        // add ever 0.0 the entry could be listed twice; the reset below
+        // turns the second visit into a no-op.)
         if (acc_[p.pos] == 0.0) touched_.push_back(p.pos);
         acc_[p.pos] += w * static_cast<double>(p.weight) * factor;
       }
@@ -104,9 +123,14 @@ class BatchIndex {
     Weight weight;
   };
 
-  std::vector<uint32_t> start_;   // max_term + 2 entries
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  std::vector<uint32_t> slot_;    // term id -> run slot, or kNoSlot
+  std::vector<TermId> terms_;     // the batch's distinct terms, by slot
+  size_t end_term_ = 0;           // 1 + the batch's largest term; 0 if none
+  std::vector<uint32_t> start_;   // one entry per slot, plus one
   std::vector<Posting> postings_;
-  std::vector<double> acc_;       // one slot per batch document
+  std::vector<double> acc_;       // one entry per batch document
   std::vector<uint32_t> touched_;
 };
 

@@ -19,9 +19,10 @@ namespace kernel {
 // variants vectorize only work whose fp result is order-free — individual
 // products, each computed by the same sequence of IEEE-exact operations
 // per element — while every ORDER-SENSITIVE reduction (score
-// accumulation) stays a sequential in-order sum in both arms. In-order reduction was chosen over pairwise deliberately: the
-// executors' accumulator loops scatter into per-candidate slots in
-// ascending term order, an order pairwise reduction cannot reproduce, and
+// accumulation) stays a sequential in-order sum in both arms. In-order
+// reduction was chosen over pairwise deliberately: the executors'
+// accumulator loops scatter into per-candidate slots in ascending term
+// order, an order pairwise reduction cannot reproduce, and
 // cross-executor bit-identity (HHNL == HVNL == VVM) has been a tested
 // invariant since PR 1.
 

@@ -184,17 +184,6 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
     QueryStatsCollector collector(&disk);
     JoinContext ctx = f->Context(100);
     ctx.stats = &collector;
-    HhnlJoin join(HhnlJoin::Options{/*backward=*/true});
-    ASSERT_TRUE(join.Run(ctx, spec).ok());
-    const CpuStats cpu = collector.Finish().root.cpu;
-    CpuEstimate est = HhnlCpuCost(in, /*backward=*/true);
-    check(static_cast<double>(cpu.cell_compares), est.cell_compares, 1.5,
-          "HHNL backward compares");
-  }
-  {
-    QueryStatsCollector collector(&disk);
-    JoinContext ctx = f->Context(100);
-    ctx.stats = &collector;
     HvnlJoin join;
     ASSERT_TRUE(join.Run(ctx, spec).ok());
     const CpuStats cpu = collector.Finish().root.cpu;

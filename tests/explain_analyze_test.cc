@@ -160,6 +160,8 @@ cpu: CpuStats{compares=711, accum=642, heap=464, decoded=230}
       Render(vvm));
 }
 
+// ExecuteAnalyze ties it together: the planner's own report must carry the
+// chosen algorithm, and the join result must be unaffected by metering.
 TEST(ExplainAnalyzeTest, ExecuteAnalyzeMatchesPlainExecute) {
   SimulatedDisk disk(256);
   auto f = GoldenFixture(&disk);
